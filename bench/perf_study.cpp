@@ -11,8 +11,6 @@
 //   --scale=0.2            workload scale (same meaning as the fig* benches)
 //   --seed=42              workload seed
 //   --threads=0            sweep/session worker threads (0 = hardware)
-//   --engine-threads=1     event-engine threads (1 = serial; >1 sharded)
-//   --queue=bucketed       event queue: bucketed | reference
 //   --sweep-mode=grouped   cache sweep execution: grouped | per-config
 //   --trace-mode=streaming trace pipeline: streaming (bounded RSS) |
 //                          materialized (in-memory reference)
@@ -25,6 +23,10 @@
 //   --out=<path>           also write the JSON there (stdout always)
 //   --check-digest=0x...   exit non-zero unless the trace digest matches
 //
+// Unknown arguments print a usage line and exit 2; a runtime error (an
+// unwritable spill directory, say) prints one "perf_study: error:" line and
+// exits 1.
+//
 // Per-point sweep summaries go to stderr in a mode-independent format, so
 // CI can diff the two sweep modes' lines byte-for-byte.
 #include <sys/resource.h>
@@ -32,11 +34,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <string>
-#include <vector>
-
+#include <exception>
 #include <optional>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "analysis/session.hpp"
 #include "cache/simulators.hpp"
@@ -123,26 +125,31 @@ void print_sweep_results(
   }
 }
 
+int usage() {
+  std::fprintf(stderr,
+               "usage: perf_study [--scale=S] [--seed=N] [--threads=N] "
+               "[--sweep-mode=grouped|per-config] "
+               "[--trace-mode=streaming|materialized] "
+               "[--workload=synthetic|replay:<path>|checkpoint] "
+               "[--chkpoint-*=...] [--spill-budget-mb=N] [--spill-dir=DIR] "
+               "[--out=PATH] [--check-digest=0x...]\n");
+  return 2;
+}
+
 int run(int argc, char** argv) {
   std::vector<std::string> known{"scale",      "seed",      "threads",
-                                 "engine-threads", "queue", "sweep-mode",
-                                 "trace-mode", "workload",  "out",
-                                 "check-digest", "spill-budget-mb",
-                                 "spill-dir"};
+                                 "sweep-mode", "trace-mode", "workload",
+                                 "out",        "check-digest",
+                                 "spill-budget-mb", "spill-dir"};
   for (const auto& name : workload::checkpoint_flag_names()) {
     known.push_back(name);
   }
   util::Flags flags(argc, argv, known);
+  // A misspelt or retired flag must not silently run the defaults.
+  if (flags.remaining_argc() > 1) return usage();
   const double scale = flags.get_double("scale", 0.2);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
   const auto threads = static_cast<std::size_t>(flags.get_int("threads", 0));
-  const auto engine_threads =
-      static_cast<int>(flags.get_int("engine-threads", 1));
-  CHECK(engine_threads >= 1, "--engine-threads must be >= 1, got ",
-        engine_threads);
-  const std::string queue_name = flags.get("queue", "bucketed");
-  CHECK(queue_name == "bucketed" || queue_name == "reference",
-        "--queue must be 'bucketed' or 'reference', got '", queue_name, "'");
   const std::string sweep_mode_name = flags.get("sweep-mode", "grouped");
   CHECK(sweep_mode_name == "grouped" || sweep_mode_name == "per-config",
         "--sweep-mode must be 'grouped' or 'per-config', got '",
@@ -156,9 +163,6 @@ int run(int argc, char** argv) {
   core::StudyConfig config;
   config.workload.scale = scale;
   config.workload.seed = seed;
-  config.queue = queue_name == "bucketed" ? sim::QueueKind::kBucketed
-                                          : sim::QueueKind::kReferenceHeap;
-  config.engine_threads = engine_threads;
   config.source =
       workload::parse_source_spec(flags.get("workload", "synthetic"));
   workload::apply_checkpoint_flags(flags, &config.workload);
@@ -181,7 +185,6 @@ int run(int argc, char** argv) {
   std::uint64_t events_dispatched = 0;
   std::uint64_t trace_records = 0;
   std::uint64_t sorted_records = 0;
-  sim::ShardStats shard_stats;
   double study_ms = 0.0;
   double sessions_ms = 0.0;
   double digest_ms = 0.0;
@@ -210,7 +213,6 @@ int run(int argc, char** argv) {
     events_dispatched = out.events_dispatched;
     trace_records = out.records;
     sorted_records = out.streamed_records;
-    shard_stats = out.shard_stats;
     spill = out.spill;
     stage_start = WallClock::now();
     store = std::move(out.sessions);
@@ -226,7 +228,6 @@ int run(int argc, char** argv) {
     events_dispatched = materialized->events_dispatched;
     trace_records = materialized->raw.record_count();
     sorted_records = materialized->sorted.records.size();
-    shard_stats = materialized->shard_stats;
     stage_start = WallClock::now();
     store = analysis::SessionStore::build_parallel(materialized->sorted, pool);
     read_only = store.read_only_sessions();
@@ -288,18 +289,6 @@ int run(int argc, char** argv) {
   json += "  \"scale\": " + std::to_string(scale) + ",\n";
   json += "  \"seed\": " + std::to_string(seed) + ",\n";
   json += "  \"threads\": " + std::to_string(pool.thread_count()) + ",\n";
-  json += "  \"engine_threads\": " + std::to_string(engine_threads) + ",\n";
-  if (engine_threads > 1) {
-    const sim::ShardStats& shards = shard_stats;
-    json += "  \"engine_windows\": " + std::to_string(shards.windows) + ",\n";
-    json += "  \"engine_staged\": " + std::to_string(shards.staged) + ",\n";
-    json += "  \"engine_direct\": " + std::to_string(shards.direct) + ",\n";
-    json += "  \"engine_worker_tasks\": " +
-            std::to_string(shards.worker_tasks) + ",\n";
-    json += "  \"engine_inline_tasks\": " +
-            std::to_string(shards.inline_tasks) + ",\n";
-  }
-  json += "  \"queue\": \"" + queue_name + "\",\n";
   json += "  \"workload\": \"" + workload::to_string(config.source) + "\",\n";
   json += "  \"sweep_mode\": \"" + sweep_mode_name + "\",\n";
   json += "  \"trace_mode\": \"" + trace_mode_name + "\",\n";
@@ -360,9 +349,9 @@ int run(int argc, char** argv) {
     if (expected != digest_hex) {
       std::fprintf(stderr,
                    "digest mismatch: expected %s, computed %s "
-                   "(scale=%g seed=%llu queue=%s)\n",
+                   "(scale=%g seed=%llu)\n",
                    expected.c_str(), digest_hex, scale,
-                   static_cast<unsigned long long>(seed), queue_name.c_str());
+                   static_cast<unsigned long long>(seed));
       return 1;
     }
     std::fprintf(stderr, "digest check passed: %s\n", digest_hex);
@@ -373,4 +362,11 @@ int run(int argc, char** argv) {
 }  // namespace
 }  // namespace charisma
 
-int main(int argc, char** argv) { return charisma::run(argc, argv); }
+int main(int argc, char** argv) {
+  try {
+    return charisma::run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "perf_study: error: %s\n", e.what());
+    return 1;
+  }
+}

@@ -32,13 +32,7 @@ StreamedStudyOutput run_streamed_study(const StudyConfig& config,
                                        const StreamOptions& options) {
   // The rig mirrors run_study exactly — same construction order, same rng
   // derivation — so both modes drive the identical simulation.
-  sim::EngineOptions eopts;
-  eopts.queue = config.queue;
-  eopts.threads = config.engine_threads;
-  eopts.lp_count = config.machine.lp_count();
-  eopts.lookahead = net::min_message_latency(config.machine.net);
-  eopts.force_sharded = config.force_sharded_engine;
-  sim::Engine engine(eopts);
+  sim::Engine engine;
   util::Rng machine_rng(config.workload.seed ^ 0xC10CC10CULL);
   ipsc::Machine machine(engine, config.machine, machine_rng);
   cfs::Runtime runtime(machine, config.runtime);
@@ -86,8 +80,6 @@ StreamedStudyOutput run_streamed_study(const StudyConfig& config,
   out.total_ops = driver->total_ops();
   out.events_dispatched = engine.dispatched_events();
   out.sim_end = engine.now();
-  out.engine_threads = config.engine_threads;
-  out.shard_stats = engine.shard_stats();
   for (int d = 0; d < machine.io_nodes(); ++d) {
     out.user_bytes_moved += machine.disk(d).bytes_moved();
   }

@@ -16,16 +16,7 @@ TraceMode parse_trace_mode(const std::string& name) {
 }
 
 StudyOutput run_study(const StudyConfig& config) {
-  sim::EngineOptions eopts;
-  eopts.queue = config.queue;
-  eopts.threads = config.engine_threads;
-  eopts.lp_count = config.machine.lp_count();
-  // The sharded engine's window width: the minimum cross-node message
-  // latency.  core derives it from the network model because sim sits below
-  // net in the layering and cannot ask itself.
-  eopts.lookahead = net::min_message_latency(config.machine.net);
-  eopts.force_sharded = config.force_sharded_engine;
-  sim::Engine engine(eopts);
+  sim::Engine engine;
   // The machine's clock skews must not depend on the workload draw.
   util::Rng machine_rng(config.workload.seed ^ 0xC10CC10CULL);
   ipsc::Machine machine(engine, config.machine, machine_rng);
@@ -58,8 +49,6 @@ StudyOutput run_study(const StudyConfig& config) {
   out.total_ops = driver->total_ops();
   out.events_dispatched = engine.dispatched_events();
   out.sim_end = engine.now();
-  out.engine_threads = config.engine_threads;
-  out.shard_stats = engine.shard_stats();
   for (int d = 0; d < machine.io_nodes(); ++d) {
     out.user_bytes_moved += machine.disk(d).bytes_moved();
   }

@@ -13,7 +13,6 @@
 #include "cfs/runtime.hpp"
 #include "ipsc/machine.hpp"
 #include "sim/engine.hpp"
-#include "sim/sharded.hpp"
 #include "trace/collector.hpp"
 #include "trace/postprocess.hpp"
 #include "workload/driver.hpp"
@@ -67,23 +66,10 @@ struct StudyConfig {
   ipsc::MachineConfig machine = ipsc::MachineConfig::nas_ames();
   cfs::RuntimeParams runtime;
   trace::CollectorParams collector;
-  /// Event-queue implementation; both kinds dispatch identically (the
-  /// differential test holds them to the same trace digest), so this only
-  /// matters for performance work.
-  sim::QueueKind queue = sim::kDefaultQueueKind;
-  /// Engine threads: 1 runs the serial engine; N > 1 shards the machine's
-  /// logical processes across N calendar queues with conservative-window
-  /// synchronization (lookahead = the network model's minimum message
-  /// latency).  The trace digest is identical for every value.
-  int engine_threads = 1;
-  /// Runs the sharded coordinator even at one thread (differential tests
-  /// of the window protocol).
-  bool force_sharded_engine = false;
   /// Which workload source feeds the Driver: the synthetic reconstruction
   /// (default), a chwl replay log ("replay:<path>"), or the Daly
   /// checkpoint-restart archetype ("checkpoint").  Every analyzer, figure,
-  /// cache sweep, queue kind, engine-thread count, and trace mode runs
-  /// unchanged over any source.
+  /// cache sweep, and trace mode runs unchanged over any source.
   workload::SourceSpec source;
   /// Reference feed for the source differential suite: drive the synthetic
   /// workload through the pre-Source materialized-script Driver path
@@ -115,10 +101,6 @@ struct StudyOutput {
   std::uint64_t total_ops = 0;
   std::uint64_t events_dispatched = 0;  // engine events, for events/sec
   util::MicroSec sim_end = 0;
-  /// Engine threads the study ran with, and the sharded backend's window
-  /// counters (all zero when serial).
-  int engine_threads = 1;
-  sim::ShardStats shard_stats;
 };
 
 /// Runs the full study.  Deterministic in `config`.

@@ -1,23 +1,17 @@
-// Event representation and the engine's interchangeable pending-event
-// queues, split out of engine.cpp so the sharded coordinator (sharded.hpp)
-// can own one queue per shard.
+// Event representation and the engine's pending-event queue, split out of
+// engine.cpp so the queue can be tested and reasoned about on its own.
 //
-// Determinism rules (shared by every queue and enforced by the engine's
-// differential suites):
+// Determinism rules (enforced by the engine's differential suite):
 //   * time is integer microseconds (util::MicroSec);
 //   * ties are broken by schedule order (a monotone sequence number), so a
 //     (seed, config) pair always produces the identical event interleaving.
 //
-// Two implementations honor that contract:
-//   * kBucketed (default): a two-level calendar queue — near-future events
-//     hash into fixed-width time buckets (each bucket a small sorted run),
-//     far-future events wait in a sorted overflow band and migrate into the
-//     bucket window when it advances.  O(1) amortized per event instead of
-//     the binary heap's O(log n) on large pending sets.
-//   * kReferenceHeap: the original binary heap, kept for differential
-//     testing (tests/sim/engine_differential_test.cpp) and selectable as
-//     the build default with -DCHARISMA_REFERENCE_QUEUE=ON.
-// Both yield events in exactly the same (at, seq) order.
+// The queue is a two-level calendar queue: near-future events hash into
+// fixed-width time buckets (each bucket a small sorted run), far-future
+// events wait in a sorted overflow band and migrate into the bucket window
+// when it advances.  O(1) amortized per event instead of a binary heap's
+// O(log n) on large pending sets, yet it yields events in exactly the same
+// (at, seq) order; tests/sim/ keeps a binary-heap engine as its oracle.
 #pragma once
 
 #include <cstdint>
@@ -30,16 +24,8 @@ namespace charisma::sim {
 
 using util::MicroSec;
 
-enum class QueueKind : std::uint8_t { kBucketed, kReferenceHeap };
-
-#if defined(CHARISMA_REFERENCE_QUEUE)
-inline constexpr QueueKind kDefaultQueueKind = QueueKind::kReferenceHeap;
-#else
-inline constexpr QueueKind kDefaultQueueKind = QueueKind::kBucketed;
-#endif
-
 /// One scheduled callback.  `seq` is assigned by the engine in schedule
-/// order and is globally unique within a run, including across shards.
+/// order and is unique within a run.
 struct Event {
   MicroSec at = 0;
   std::uint64_t seq = 0;
@@ -112,64 +98,6 @@ class CalendarQueue {
   MicroSec window_start_ = 0;    // multiple of kBucketWidth
   std::size_t cursor_ = 0;       // no non-empty bucket before this index
   std::size_t in_window_ = 0;
-};
-
-/// One pending-event queue of either kind behind a uniform front/drop
-/// interface.  The branch on kind_ mirrors what Engine::step used to do
-/// inline, so the serial dispatch path is unchanged by the extraction.
-class EventQueue {
- public:
-  explicit EventQueue(QueueKind kind = kDefaultQueueKind) : kind_(kind) {}
-
-  [[nodiscard]] QueueKind kind() const noexcept { return kind_; }
-
-  void push(Event&& ev) {
-    if (kind_ == QueueKind::kBucketed) {
-      calendar_.push(std::move(ev));
-    } else {
-      heap_push(std::move(ev));
-    }
-  }
-
-  [[nodiscard]] bool next_time(MicroSec* at) {
-    if (kind_ == QueueKind::kBucketed) return calendar_.next_time(at);
-    if (heap_.empty()) return false;
-    *at = heap_.front().at;
-    return true;
-  }
-
-  /// The (at, seq)-least event, left in place; queue must be non-empty.
-  /// Invalidated by any push — move the callback out and drop_front()
-  /// before invoking it.
-  [[nodiscard]] Event* front() {
-    return kind_ == QueueKind::kBucketed ? calendar_.front() : &heap_.front();
-  }
-
-  void drop_front() {
-    if (kind_ == QueueKind::kBucketed) {
-      calendar_.drop_front();
-    } else {
-      heap_pop();
-    }
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept {
-    return kind_ == QueueKind::kBucketed ? calendar_.size() : heap_.size();
-  }
-  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
-
-  /// Moves every event with at < horizon into `out`, appended in (at, seq)
-  /// dispatch order.  The sharded coordinator's harvest step: one sorted
-  /// run per shard per conservative window.
-  void drain_before(MicroSec horizon, std::vector<Event>& out);
-
- private:
-  void heap_push(Event&& ev);
-  void heap_pop();
-
-  QueueKind kind_;
-  CalendarQueue calendar_;
-  std::vector<Event> heap_;  // min-heap under EventAfter
 };
 
 }  // namespace charisma::sim

@@ -55,12 +55,9 @@ void Driver::prepopulate() {
 void Driver::run() {
   prepopulate();
   auto& engine = machine_->engine();
-  // Arrivals and queueing run on the service node's LP: NQS lived on the
-  // host side of the machine.
-  const int service = machine_->service_lp();
   for (std::size_t i = 0; i < workload_->jobs.size(); ++i) {
-    engine.schedule_at_lp(service, workload_->jobs[i].arrival,
-                          [this, i] { on_arrival(i); });
+    engine.schedule_at(workload_->jobs[i].arrival,
+                       [this, i] { on_arrival(i); });
   }
   engine.run();
   collector_->flush_all();
@@ -136,9 +133,8 @@ void Driver::start_job(std::size_t spec_index) {
       nr.ops = std::move(scripts.nodes[static_cast<std::size_t>(rank)].ops);
     }
     // SPMD startup skew: ranks come up a few hundred microseconds apart.
-    machine_->engine().schedule_in_lp(
-        machine_->lp_of_compute(base + rank), 200 + 50 * rank,
-        [this, run, rank] { step(run, rank); });
+    machine_->engine().schedule_in(200 + 50 * rank,
+                                   [this, run, rank] { step(run, rank); });
   }
 }
 
@@ -170,8 +166,6 @@ void Driver::consume_op(NodeRun& nr) {
 void Driver::step(JobRun* run, std::int32_t rank) {
   auto& nr = run->nodes[static_cast<std::size_t>(rank)];
   auto& engine = machine_->engine();
-  // Everything this rank schedules happens on its own compute node.
-  const int lp = machine_->lp_of_compute(run->base + rank);
   Op* fetched = fetch_op(run, rank);
   if (fetched == nullptr) {
     if (++run->done == static_cast<std::int32_t>(run->nodes.size())) {
@@ -187,7 +181,7 @@ void Driver::step(JobRun* run, std::int32_t rank) {
     // Consume the think by rescheduling this op with think cleared.
     const MicroSec t = op.think;
     fetched->think = 0;
-    engine.schedule_in_lp(lp, t, [this, run, rank] { step(run, rank); });
+    engine.schedule_in(t, [this, run, rank] { step(run, rank); });
     return;
   }
 
@@ -271,9 +265,8 @@ void Driver::step(JobRun* run, std::int32_t rank) {
       const MicroSec release = 50;
       for (const std::int32_t parked : bar.parked) {
         consume_op(run->nodes[static_cast<std::size_t>(parked)]);
-        engine.schedule_in_lp(machine_->lp_of_compute(run->base + parked),
-                              release,
-                              [this, run, parked] { step(run, parked); });
+        engine.schedule_in(release,
+                           [this, run, parked] { step(run, parked); });
       }
       break;
     }
@@ -294,8 +287,8 @@ void Driver::step(JobRun* run, std::int32_t rank) {
     const int shift = static_cast<int>(std::min<std::uint64_t>(
         nr.backoff, 9));
     ++nr.backoff;
-    engine.schedule_in_lp(
-        lp, (runtime_->fs().params().pointer_handoff + 100) << shift,
+    engine.schedule_in(
+        (runtime_->fs().params().pointer_handoff + 100) << shift,
         [this, run, rank] { step(run, rank); });
     return;
   }
@@ -303,7 +296,7 @@ void Driver::step(JobRun* run, std::int32_t rank) {
 
   consume_op(nr);
   const MicroSec delay = std::max<MicroSec>(next_at - engine.now(), 0);
-  engine.schedule_in_lp(lp, delay, [this, run, rank] { step(run, rank); });
+  engine.schedule_in(delay, [this, run, rank] { step(run, rank); });
 }
 
 void Driver::finish_job(JobRun* run) {

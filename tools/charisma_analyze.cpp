@@ -17,8 +17,8 @@
 //                    [--buffers=N] [--policy=lru|fifo|ip] [--strided]
 //                    [--trace-mode=streaming|materialized]
 //   charisma_analyze --workload=synthetic|replay:<chwl>|checkpoint
-//                    [--scale=S] [--seed=N] [--engine-threads=N]
-//                    [--chkpoint-*=...] [same analysis flags]
+//                    [--scale=S] [--seed=N] [--chkpoint-*=...]
+//                    [same analysis flags]
 //   charisma_analyze --workload=... --dump-workload=<out.chwl>
 //
 //   --report:  all (default), jobs, nodes, population, files-per-job,
@@ -63,7 +63,7 @@ int usage() {
                "[--trace-mode=streaming|materialized] "
                "[--spill-budget-mb=N] [--spill-dir=DIR]\n"
                "       charisma_analyze --workload=synthetic|replay:<chwl>|"
-               "checkpoint [--scale=S] [--seed=N] [--engine-threads=N] "
+               "checkpoint [--scale=S] [--seed=N] "
                "[--chkpoint-*=...] [analysis flags]\n"
                "       charisma_analyze --workload=... "
                "--dump-workload=<out.chwl>\n");
@@ -76,8 +76,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> known{
       "report",   "cache",         "buffers", "policy",
       "strided",  "trace-mode",    "workload", "dump-workload",
-      "scale",    "seed",          "engine-threads",
-      "spill-budget-mb", "spill-dir"};
+      "scale",    "seed",          "spill-budget-mb", "spill-dir"};
   for (const auto& name : workload::checkpoint_flag_names()) {
     known.push_back(name);
   }
@@ -144,8 +143,6 @@ int main(int argc, char** argv) {
       core::StudyConfig config;
       config.workload = wconfig;
       config.source = source_spec;
-      config.engine_threads =
-          static_cast<int>(flags.get_int("engine-threads", 1));
       config.spill_budget_mb = spill_budget_mb;
       config.spill_dir = spill_dir;
       if (mode == core::TraceMode::kStreaming) {

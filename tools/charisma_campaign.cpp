@@ -3,7 +3,7 @@
 // statistics with 95% confidence intervals.
 //
 //   charisma_campaign [--seeds=42,43,44] [--scales=0.2] [--threads=N]
-//                     [--queue=bucketed|heap] [--smoke] [--figures=0|1]
+//                     [--smoke] [--figures=0|1]
 //                     [--workload=synthetic|replay:<path>|checkpoint]
 //                     [--out=DIR]
 //
@@ -15,10 +15,6 @@
 //              the --chkpoint-size/bw/runtime/mtti/nodes/chunk knobs)
 //   --threads: campaign worker threads; 0 = hardware concurrency,
 //              1 = serial (default 0)
-//   --engine-threads: threads per study's event engine (default 1 = serial;
-//              >1 shards each study's LPs with conservative windows — the
-//              digests are identical either way, so the determinism diffs
-//              cover this axis too)
 //   --smoke:   use the tiny smoke workload/machine (CI cross-checks)
 //   --figures: sample per-figure curves and fold envelope bands across the
 //              replications (default 1; 0 skips the analyzer/cache replays
@@ -32,10 +28,14 @@
 // The per-study digest lines and the per-figure envelope TSVs are the
 // determinism contract: CI runs the same campaign at --threads=1 and
 // --threads=2 and diffs both.
+//
+// Exit codes: 0 success, 2 usage error, 1 runtime error (one
+// "charisma_campaign: error:" line on stderr).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,21 +69,18 @@ std::vector<std::string> split_list(const std::string& csv) {
 int usage() {
   std::fprintf(stderr,
                "usage: charisma_campaign [--seeds=42,43] [--scales=0.2] "
-               "[--threads=N] [--engine-threads=N] [--queue=bucketed|heap] "
-               "[--smoke] [--figures=0|1] [--progress] "
+               "[--threads=N] [--smoke] [--figures=0|1] [--progress] "
                "[--workload=synthetic|replay:<path>|checkpoint] "
                "[--chkpoint-*=...] [--spill-budget-mb=N] [--spill-dir=DIR] "
                "[--out=DIR]\n");
   return 2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::vector<std::string> known{"seeds",   "scales",   "threads",
-                                 "engine-threads", "queue", "smoke",
-                                 "figures", "progress", "workload", "out",
-                                 "spill-budget-mb", "spill-dir"};
+                                 "smoke",   "figures",  "progress",
+                                 "workload", "out",     "spill-budget-mb",
+                                 "spill-dir"};
   for (const auto& name : workload::checkpoint_flag_names()) {
     known.push_back(name);
   }
@@ -106,14 +103,6 @@ int main(int argc, char** argv) {
     // apply on top.
     base.workload = workload::WorkloadConfig::smoke();
   }
-  const std::string queue = flags.get("queue", "bucketed");
-  if (queue == "heap") {
-    base.queue = sim::QueueKind::kReferenceHeap;
-  } else if (queue != "bucketed") {
-    return usage();
-  }
-  base.engine_threads = static_cast<int>(flags.get_int("engine-threads", 1));
-  if (base.engine_threads < 1) return usage();
   base.source = workload::parse_source_spec(flags.get("workload", "synthetic"));
   workload::apply_checkpoint_flags(flags, &base.workload);
 
@@ -191,4 +180,15 @@ int main(int argc, char** argv) {
                 exported.directory.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "charisma_campaign: error: %s\n", e.what());
+    return 1;
+  }
 }
