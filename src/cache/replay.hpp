@@ -4,9 +4,9 @@
 // single push-based sink cannot feed them.  Instead, the streaming pipeline
 // spills the pre-filtered replay ops (ReplayOpSink, a RecordSink) during the
 // one postprocessing merge, and ReplayLog replays them chunk-by-chunk per
-// pass — each traversal opens its own stream, so parallel sweep passes stay
-// safe, and resident memory per pass is one fixed-size chunk instead of the
-// op vector.
+// traversal — each traversal opens its own stream, so parallel sweep work
+// units stay safe, and resident memory per traversal is one fixed-size
+// chunk instead of the op vector.
 //
 // Ops are stored varint/delta-encoded (3-4 bytes per op instead of the raw
 // struct's 40): streams are bursty per (job, file) session and heavily
@@ -14,8 +14,9 @@
 // captures most ops outright.  Chunks are self-contained (the predictor
 // resets per chunk) and land in a memory tier charged against the study's
 // shared trace::SpillBudget, overflowing — stickily, like the trace spill —
-// to an anonymous temp file.  Sweeps re-read the ops once per pass (4x at
-// current plans), so compactness pays on every pass.
+// to an anonymous temp file.  Sweeps re-read the ops once per work unit (a
+// pooled grouped sweep splits each planned pass into node slices, and every
+// slice traverses the whole log), so compactness pays on every unit.
 //
 // The read-only-session flag cannot be known while spilling (sessions finish
 // only after the last record), so ops are encoded without it and the flag is
@@ -179,7 +180,7 @@ class ReplayOpSink final : public trace::RecordSink {
 class ReplayLog {
  public:
   /// Ops streamed to traversal callbacks per chunk; bounds file-mode
-  /// resident memory and gives multi-shape passes their L2-hot replay unit.
+  /// resident memory per traversal (one decode buffer of this many ops).
   static constexpr std::size_t kChunkOps = 4096;
 
   ReplayLog() = default;

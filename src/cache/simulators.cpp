@@ -1,8 +1,13 @@
 #include "cache/simulators.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <atomic>
+#include <functional>
 #include <map>
+#include <memory>
 #include <sstream>
+#include <utility>
 
 #include "cache/stack_sim.hpp"
 #include "util/check.hpp"
@@ -37,6 +42,52 @@ std::vector<ReplayOp> prepare_replay(const trace::SortedTrace& trace,
   return ops;
 }
 
+bool serve_locally(BlockCache& cache, const ReplayOp& op, BlockSpan span) {
+  bool full_hit = true;
+  for (std::int64_t b = span.first; b <= span.last; ++b) {
+    if (!cache.contains({op.file, b})) {
+      full_hit = false;
+      break;
+    }
+  }
+  for (std::int64_t b = span.first; b <= span.last; ++b) {
+    (void)cache.access({op.file, b}, op.node);
+  }
+  return full_hit;
+}
+
+SliceStripes::SliceStripes(int io_nodes, NodeSlice slice) {
+  util::check(io_nodes >= 1, "need at least one I/O node");
+  CHECK(slice.count >= 1 && slice.index < slice.count &&
+            slice.count <= static_cast<std::uint32_t>(io_nodes),
+        "bad I/O-node slice ", slice.index, " of ", slice.count, " over ",
+        io_nodes, " I/O nodes");
+  const auto n = static_cast<std::uint32_t>(io_nodes);
+  gap_.assign(n, 0);
+  local_.assign(n, 0);
+  for (std::uint32_t node = 0; node < n; ++node) {
+    std::uint32_t d = 0;
+    while (!slice.owns(static_cast<NodeId>((node + d) % n))) ++d;
+    gap_[node] = d;
+    if (d == 0) local_[node] = static_cast<std::uint32_t>(owned_++);
+  }
+}
+
+std::vector<std::uint64_t> RequestMisses::hits(std::uint64_t requests,
+                                               std::size_t capacities) const {
+  CHECK(requests <= bits_.size(), "miss mask sized for ", bits_.size(),
+        " requests, asked for ", requests);
+  std::vector<std::uint64_t> missed(capacities, 0);
+  for (std::size_t r = 0; r < requests; ++r) {
+    for (std::uint32_t m = bits_[r]; m != 0; m &= m - 1) {
+      ++missed[static_cast<std::size_t>(std::countr_zero(m))];
+    }
+  }
+  std::vector<std::uint64_t> out(capacities);
+  for (std::size_t c = 0; c < capacities; ++c) out[c] = requests - missed[c];
+  return out;
+}
+
 namespace {
 
 ComputeCacheResult replay_compute_cache(const ReplayLog& ops,
@@ -55,20 +106,8 @@ ComputeCacheResult replay_compute_cache(const ReplayLog& ops,
   // NOLINTNEXTLINE(charisma-shared-capture)
   ops.for_each([&](const ReplayOp& op) {
     if (!op.is_read || !op.read_only_session) return;
-    BlockCache& cache = caches.at(op.job, op.node);
-    const auto [first, last] = span_of(op, config.block_size);
-    // "Fully satisfied from the local buffer": every touched block present
-    // before the request runs.
-    bool full_hit = true;
-    for (std::int64_t b = first; b <= last; ++b) {
-      if (!cache.contains({op.file, b})) {
-        full_hit = false;
-        break;
-      }
-    }
-    for (std::int64_t b = first; b <= last; ++b) {
-      (void)cache.access({op.file, b}, op.node);
-    }
+    const bool full_hit = serve_locally(caches.at(op.job, op.node), op,
+                                        span_of(op, config.block_size));
     auto& jc = per_job[op.job];
     ++jc.reads;
     ++out.reads;
@@ -93,17 +132,22 @@ ComputeCacheResult replay_compute_cache(const ReplayLog& ops,
   return out;
 }
 
+/// One slice of a single-point I/O-node replay.  A whole replay is slice 0
+/// of 1; a sliced one counts every request but only its own I/O nodes'
+/// blocks, and leaves request hits to `misses`.
 IoNodeSimResult replay_io_cache(const ReplayLog& ops,
-                                const IoNodeSimConfig& config) {
-  util::check(config.io_nodes >= 1, "need at least one I/O node");
+                                const IoNodeSimConfig& config,
+                                NodeSlice slice = {},
+                                RequestMisses* misses = nullptr) {
   util::check(config.block_size > 0, "bad block size");
+  const SliceStripes stripes(config.io_nodes, slice);
   IoNodeSimResult out;
 
   const std::size_t per_node =
       config.total_buffers / static_cast<std::size_t>(config.io_nodes);
   std::vector<BlockCache> io_caches;
-  io_caches.reserve(static_cast<std::size_t>(config.io_nodes));
-  for (int i = 0; i < config.io_nodes; ++i) {
+  io_caches.reserve(stripes.owned());
+  for (std::size_t i = 0; i < stripes.owned(); ++i) {
     io_caches.emplace_back(per_node, config.policy);
   }
   PerNodeCaches compute(config.compute_buffers_per_node, Policy::kLru);
@@ -111,46 +155,61 @@ IoNodeSimResult replay_io_cache(const ReplayLog& ops,
   // Audited: ReplayLog traversals run the lambda inline on this thread.
   // NOLINTNEXTLINE(charisma-shared-capture)
   ops.for_each([&](const ReplayOp& op) {
-    const auto [first, last] = span_of(op, config.block_size);
-
+    const BlockSpan span = span_of(op, config.block_size);
     if (config.compute_buffers_per_node > 0 && op.is_read &&
-        op.read_only_session) {
-      BlockCache& front = compute.at(op.job, op.node);
-      bool full_hit = true;
-      for (std::int64_t b = first; b <= last; ++b) {
-        if (!front.contains({op.file, b})) {
-          full_hit = false;
-          break;
-        }
-      }
-      for (std::int64_t b = first; b <= last; ++b) {
-        (void)front.access({op.file, b}, op.node);
-      }
-      if (full_hit) {
-        ++out.filtered_by_compute;
-        return;  // never reaches the I/O nodes
-      }
+        op.read_only_session &&
+        serve_locally(compute.at(op.job, op.node), op, span)) {
+      ++out.filtered_by_compute;
+      return;  // never reaches the I/O nodes
     }
 
     // Round-robin striping at one-block granularity (paper §4.8).  The
     // request is "fully satisfied from the buffer" when every block it
     // touches is already cached (Figure 8's definition, applied here to
     // the I/O-node caches).
-    ++out.requests;
+    const std::uint64_t request = out.requests++;
     bool full_hit = true;
-    for (std::int64_t b = first; b <= last; ++b) {
-      BlockCache& cache =
-          io_caches[static_cast<std::size_t>(b % config.io_nodes)];
+    for (auto w = stripes.start(span.first); w.block <= span.last;
+         w = stripes.next(w)) {
       ++out.block_accesses;
-      if (cache.access({op.file, b}, op.node)) {
+      if (io_caches[w.local].access({op.file, w.block}, op.node)) {
         ++out.block_hits;
       } else {
         full_hit = false;
       }
     }
-    if (full_hit) ++out.request_hits;
+    if (misses != nullptr) {
+      misses->add(request, full_hit ? 0 : 1);
+    } else if (full_hit) {
+      ++out.request_hits;
+    }
   });
   out.finalize_rates();
+  return out;
+}
+
+/// Folds the slices of one pass into its per-capacity results.  Block
+/// counters add across slices.  Every slice counted the same requests and
+/// front-cache filtering, so those come from slice 0, and so do the request
+/// hits of a whole pass; a sliced pass takes them from its miss mask.
+std::vector<IoNodeSimResult> merge_slices(
+    std::vector<std::vector<IoNodeSimResult>> slices,
+    const RequestMisses* misses) {
+  std::vector<IoNodeSimResult> out = std::move(slices.at(0));
+  for (std::size_t s = 1; s < slices.size(); ++s) {
+    for (std::size_t c = 0; c < out.size(); ++c) {
+      out[c].block_accesses += slices[s][c].block_accesses;
+      out[c].block_hits += slices[s][c].block_hits;
+    }
+  }
+  if (misses != nullptr && !out.empty()) {
+    const std::vector<std::uint64_t> hits =
+        misses->hits(out[0].requests, out.size());
+    for (std::size_t c = 0; c < out.size(); ++c) {
+      out[c].request_hits = hits[c];
+    }
+  }
+  for (IoNodeSimResult& r : out) r.finalize_rates();
   return out;
 }
 
@@ -183,32 +242,19 @@ std::vector<IoNodeSimResult> batched_io_group(
   // Audited: ReplayLog traversals run the lambda inline on this thread.
   // NOLINTNEXTLINE(charisma-shared-capture)
   ops.for_each([&](const ReplayOp& op) {
-    const auto [first, last] = span_of(op, shape.block_size);
-
+    const BlockSpan span = span_of(op, shape.block_size);
     if (shape.compute_buffers_per_node > 0 && op.is_read &&
-        op.read_only_session) {
-      BlockCache& cache = front.at(op.job, op.node);
-      bool full_hit = true;
-      for (std::int64_t b = first; b <= last; ++b) {
-        if (!cache.contains({op.file, b})) {
-          full_hit = false;
-          break;
-        }
-      }
-      for (std::int64_t b = first; b <= last; ++b) {
-        (void)cache.access({op.file, b}, op.node);
-      }
-      if (full_hit) {
-        for (std::size_t c = 0; c < n; ++c) ++out[c].filtered_by_compute;
-        return;
-      }
+        op.read_only_session &&
+        serve_locally(front.at(op.job, op.node), op, span)) {
+      for (std::size_t c = 0; c < n; ++c) ++out[c].filtered_by_compute;
+      return;
     }
 
     for (std::size_t c = 0; c < n; ++c) {
       IoNodeSimResult& r = out[c];
       ++r.requests;
       bool full_hit = true;
-      for (std::int64_t b = first; b <= last; ++b) {
+      for (std::int64_t b = span.first; b <= span.last; ++b) {
         ++r.block_accesses;
         if (caches[c][static_cast<std::size_t>(b % shape.io_nodes)].access(
                 {op.file, b}, op.node)) {
@@ -218,87 +264,6 @@ std::vector<IoNodeSimResult> batched_io_group(
         }
       }
       if (full_hit) ++r.request_hits;
-    }
-  });
-  for (IoNodeSimResult& r : out) r.finalize_rates();
-  return out;
-}
-
-/// Fused replay for a batch of single-point topologies: one pass over the op
-/// stream stepping every shape's own cache set — its own io_nodes count,
-/// block size, policy, and (when set) §4.8 front caches.  Unlike
-/// batched_io_group the shapes share nothing but the decoded op stream, so
-/// each slot's counters are bit-identical to a standalone replay_io_cache of
-/// that shape: private front caches mean private filtering, private striping
-/// means private block placement.  This folds the shapes grouping cannot
-/// touch (the Figure 9 I/O-node-count spread, the §4.8 front singleton) into
-/// one trace pass instead of one full replay each.
-std::vector<IoNodeSimResult> multi_io_group(
-    const ReplayLog& ops, const std::vector<IoNodeSimConfig>& shapes) {
-  const std::size_t n = shapes.size();
-  std::vector<std::vector<BlockCache>> io_caches(n);
-  std::vector<PerNodeCaches> fronts;
-  fronts.reserve(n);
-  std::vector<IoNodeSimResult> out(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    const IoNodeSimConfig& config = shapes[s];
-    util::check(config.io_nodes >= 1, "need at least one I/O node");
-    util::check(config.block_size > 0, "bad block size");
-    const std::size_t per_node =
-        config.total_buffers / static_cast<std::size_t>(config.io_nodes);
-    io_caches[s].reserve(static_cast<std::size_t>(config.io_nodes));
-    for (int i = 0; i < config.io_nodes; ++i) {
-      io_caches[s].emplace_back(per_node, config.policy);
-    }
-    fronts.emplace_back(config.compute_buffers_per_node, Policy::kLru);
-  }
-
-  // Shape-major within fixed op chunks: the chunk streams from memory once
-  // and stays L1/L2-hot while the remaining shapes replay it, and each
-  // shape's cache state gets a long uninterrupted run instead of being
-  // evicted between every op by the other shapes' state.  Per shape the op
-  // order is unchanged, so the counters stay bit-identical to a standalone
-  // replay.  ReplayLog's chunking doubles as the file-mode read unit.
-  ops.for_each_chunk([&](const ReplayOp* chunk, std::size_t len) {
-    for (std::size_t s = 0; s < n; ++s) {
-      const IoNodeSimConfig& config = shapes[s];
-      IoNodeSimResult& r = out[s];
-      for (std::size_t o = 0; o < len; ++o) {
-        const ReplayOp& op = chunk[o];
-        const auto [first, last] = span_of(op, config.block_size);
-
-        if (config.compute_buffers_per_node > 0 && op.is_read &&
-            op.read_only_session) {
-          BlockCache& front = fronts[s].at(op.job, op.node);
-          bool front_hit = true;
-          for (std::int64_t b = first; b <= last; ++b) {
-            if (!front.contains({op.file, b})) {
-              front_hit = false;
-              break;
-            }
-          }
-          for (std::int64_t b = first; b <= last; ++b) {
-            (void)front.access({op.file, b}, op.node);
-          }
-          if (front_hit) {
-            ++r.filtered_by_compute;
-            continue;  // this shape's I/O nodes never see the request
-          }
-        }
-
-        ++r.requests;
-        bool full_hit = true;
-        for (std::int64_t b = first; b <= last; ++b) {
-          ++r.block_accesses;
-          if (io_caches[s][static_cast<std::size_t>(b % config.io_nodes)]
-                  .access({op.file, b}, op.node)) {
-            ++r.block_hits;
-          } else {
-            full_hit = false;
-          }
-        }
-        if (full_hit) ++r.request_hits;
-      }
     }
   });
   for (IoNodeSimResult& r : out) r.finalize_rates();
@@ -382,10 +347,10 @@ std::vector<SweepGrouping> group_compute(
 }
 
 /// Fuses the kReplay leftovers — groups that ended up with a single distinct
-/// point, so grouping bought them nothing — into one kMulti pass.  Each
-/// would otherwise cost a full trace replay for one point; the fused pass
-/// replays the stream once and steps every shape (multi_io_group).  Fewer
-/// than two singletons means there is nothing to fuse.
+/// point, so grouping bought them nothing — into one kMulti pass in the
+/// plan and the passes_executed() ledger.  Each shape still replays on its
+/// own, as its own work units.  Fewer than two singletons means there is
+/// nothing to fuse.
 std::vector<SweepGrouping> fold_replay_singletons(
     std::vector<SweepGrouping> groups,
     const std::vector<IoNodeSimConfig>& configs) {
@@ -526,15 +491,20 @@ SweepRunner::SweepRunner(ReplayOpSpill ops,
                          util::ThreadPool& pool)
     : log_(std::move(ops), read_only), pool_(&pool) {}
 
-void SweepRunner::for_each(
-    std::size_t n, const std::function<void(std::size_t)>& body) const {
+void SweepRunner::run_units(
+    std::size_t units, std::size_t passes,
+    const std::function<void(std::size_t)>& body) const {
   if (pool_ == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
+    for (std::size_t u = 0; u < units; ++u) body(u);
   } else {
-    util::parallel_for(*pool_, n, body);
+    const std::size_t lanes = std::min(units, pool_->thread_count());
+    std::atomic<std::size_t> next{0};
+    util::parallel_for(*pool_, lanes, [&next, units, &body](std::size_t) {
+      for (std::size_t u = next++; u < units; u = next++) body(u);
+    });
   }
   const util::MutexLock lock(mutex_);
-  passes_executed_ += n;
+  passes_executed_ += passes;
 }
 
 std::size_t SweepRunner::passes_executed() const {
@@ -542,37 +512,112 @@ std::size_t SweepRunner::passes_executed() const {
   return passes_executed_;
 }
 
+namespace {
+
+/// One replay a grouped run executes: a planned group, or one shape of a
+/// kMulti group, split into `slices` work units.
+template <typename Result>
+struct SlicedReplay {
+  std::size_t group = 0;
+  std::size_t config = 0;  // the shape (and, for a single point, the point)
+  SweepGroup::Kind kind = SweepGroup::Kind::kReplay;
+  std::uint32_t slices = 1;
+  std::unique_ptr<detail::RequestMisses> misses;  // sliced I/O passes only
+  std::vector<Result> parts;                      // one per slice
+};
+
+/// Work-unit order: heaviest kind first (batched, then stack, then
+/// replays), and within a kind the less-sliced passes, whose units each
+/// carry a larger share of their pass.
+constexpr int unit_rank(SweepGroup::Kind kind) noexcept {
+  switch (kind) {
+    case SweepGroup::Kind::kBatched: return 0;
+    case SweepGroup::Kind::kStack: return 1;
+    case SweepGroup::Kind::kReplay:
+    case SweepGroup::Kind::kMulti: return 2;
+  }
+  return 3;
+}
+
+struct Unit {
+  std::size_t replay = 0;
+  std::uint32_t slice = 0;
+};
+
+template <typename Result>
+std::vector<Unit> units_of(const std::vector<SlicedReplay<Result>>& replays) {
+  std::vector<Unit> units;
+  for (std::size_t r = 0; r < replays.size(); ++r) {
+    for (std::uint32_t u = 0; u < replays[r].slices; ++u) {
+      units.push_back({r, u});
+    }
+  }
+  std::stable_sort(units.begin(), units.end(),
+                   [&](const Unit& a, const Unit& b) {
+                     const auto& ra = replays[a.replay];
+                     const auto& rb = replays[b.replay];
+                     return std::pair(unit_rank(ra.kind), ra.slices) <
+                            std::pair(unit_rank(rb.kind), rb.slices);
+                   });
+  return units;
+}
+
+}  // namespace
+
 std::vector<ComputeCacheResult> SweepRunner::run_compute(
     const std::vector<ComputeCacheConfig>& configs, SweepMode mode) const {
   std::vector<ComputeCacheResult> results(configs.size());
   if (mode == SweepMode::kPerConfig) {
     // Audited: results[i] is a distinct slot per iteration.
     // NOLINTNEXTLINE(charisma-shared-capture)
-    for_each(configs.size(), [&](std::size_t i) {
+    run_units(configs.size(), configs.size(), [&](std::size_t i) {
       results[i] = detail::replay_compute_cache(log_, configs[i]);
     });
     return results;
   }
   const auto groups = detail::group_compute(configs);
-  // Results land in slots keyed by the original config index, so the output
-  // order is the input order for any pool thread count.  Audited: each
-  // group's members are disjoint, so the slot writes never overlap.
+  // The stack pass slices by compute node; a single point replays whole.
+  const auto slices = static_cast<std::uint32_t>(
+      pool_ == nullptr ? 1 : pool_->thread_count());
+  std::vector<SlicedReplay<detail::ComputeBuckets>> replays(groups.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    replays[g].group = g;
+    replays[g].config = groups[g].members.front();
+    replays[g].kind = groups[g].kind();
+    if (replays[g].kind == SweepGroup::Kind::kStack) replays[g].slices = slices;
+    replays[g].parts.resize(replays[g].slices);
+  }
+  const std::vector<Unit> units = units_of(replays);
+  std::vector<ComputeCacheResult> singles(groups.size());
+  // Audited: each unit writes only its own part slot (or its group's
+  // single-point slot).
   // NOLINTNEXTLINE(charisma-shared-capture)
-  for_each(groups.size(), [&](std::size_t g) {
+  run_units(units.size(), groups.size(), [&](std::size_t i) {
+    auto& replay = replays[units[i].replay];
+    const ComputeCacheConfig& config = configs[replay.config];
+    if (replay.kind == SweepGroup::Kind::kStack) {
+      replay.parts[units[i].slice] = detail::stack_compute_slice(
+          log_, config.block_size, groups[replay.group].capacities,
+          {units[i].slice, replay.slices});
+    } else {
+      singles[replay.group] = detail::replay_compute_cache(log_, config);
+    }
+  });
+  // Results land in slots keyed by the original config index, so the output
+  // order is the input order for any pool thread count.
+  for (std::size_t g = 0; g < groups.size(); ++g) {
     const auto& group = groups[g];
     std::vector<ComputeCacheResult> points;
-    if (group.kind() == SweepGroup::Kind::kStack) {
-      points = detail::stack_compute_group(
-          log_, configs[group.members.front()].block_size,
-          group.capacities);
+    if (replays[g].kind == SweepGroup::Kind::kStack) {
+      points = detail::finish_compute_slices(std::move(replays[g].parts),
+                                             group.capacities.size());
     } else {
-      points.push_back(detail::replay_compute_cache(
-          log_, configs[group.members.front()]));
+      points.push_back(std::move(singles[g]));
     }
     for (std::size_t m = 0; m < group.members.size(); ++m) {
       results[group.members[m]] = points[group.member_point[m]];
     }
-  });
+  }
   return results;
 }
 
@@ -582,48 +627,92 @@ std::vector<IoNodeSimResult> SweepRunner::run_io(
   if (mode == SweepMode::kPerConfig) {
     // Audited: results[i] is a distinct slot per iteration.
     // NOLINTNEXTLINE(charisma-shared-capture)
-    for_each(configs.size(), [&](std::size_t i) {
+    run_units(configs.size(), configs.size(), [&](std::size_t i) {
       results[i] = detail::replay_io_cache(log_, configs[i]);
     });
     return results;
   }
   const auto groups = detail::group_io(configs);
-  // Audited: group members are disjoint config indices (see group_io).
-  // NOLINTNEXTLINE(charisma-shared-capture)
-  for_each(groups.size(), [&](std::size_t g) {
+  // One replay per group, one per shape of a kMulti group.  An I/O pass
+  // splits by I/O node into min(pool threads, io_nodes) slices, unless it
+  // steps more capacities than the miss mask holds or runs the generic
+  // batched replay (stateful IP-aware eviction, or FIFO past 16 points).
+  const std::size_t threads = pool_ == nullptr ? 1 : pool_->thread_count();
+  std::vector<SlicedReplay<std::vector<IoNodeSimResult>>> replays;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
     const auto& group = groups[g];
-    const IoNodeSimConfig& shape = configs[group.members.front()];
-    std::vector<IoNodeSimResult> points;
-    switch (group.kind()) {
+    const bool multi = group.kind() == SweepGroup::Kind::kMulti;
+    for (const std::size_t config :
+         multi ? group.point_configs
+               : std::vector<std::size_t>{group.members.front()}) {
+      auto& replay = replays.emplace_back();
+      replay.group = g;
+      replay.config = config;
+      replay.kind = multi ? SweepGroup::Kind::kReplay : group.kind();
+      const IoNodeSimConfig& shape = configs[config];
+      const std::size_t points = replay.kind == SweepGroup::Kind::kReplay
+                                     ? 1
+                                     : group.capacities.size();
+      const bool whole = points > detail::kMaxSlicedCapacities ||
+                         (replay.kind == SweepGroup::Kind::kBatched &&
+                          shape.policy != Policy::kFifo);
+      if (!whole && shape.io_nodes >= 1) {
+        replay.slices = static_cast<std::uint32_t>(
+            std::min(threads, static_cast<std::size_t>(shape.io_nodes)));
+      }
+      if (replay.slices > 1) {
+        replay.misses = std::make_unique<detail::RequestMisses>(log_.size());
+      }
+      replay.parts.resize(replay.slices);
+    }
+  }
+  const std::vector<Unit> units = units_of(replays);
+  // Audited: each unit writes only its own part slot; the slices of one
+  // pass share its miss mask through atomic ORs.
+  // NOLINTNEXTLINE(charisma-shared-capture)
+  run_units(units.size(), groups.size(), [&](std::size_t i) {
+    auto& replay = replays[units[i].replay];
+    const IoNodeSimConfig& shape = configs[replay.config];
+    const std::vector<std::size_t>& capacities =
+        groups[replay.group].capacities;
+    const detail::NodeSlice slice{units[i].slice, replay.slices};
+    auto& part = replay.parts[units[i].slice];
+    switch (replay.kind) {
       case SweepGroup::Kind::kStack:
-        points = detail::stack_io_group(log_, shape, group.capacities);
+        part = detail::stack_io_group(log_, shape, capacities, slice,
+                                      replay.misses.get());
         break;
       case SweepGroup::Kind::kBatched:
-        // FIFO gets the shared-hash single-pass; other non-inclusive
+        // FIFO gets the shared-hash single pass; other non-inclusive
         // policies (IP-aware eviction is stateful) step real caches.
-        points = shape.policy == Policy::kFifo && group.capacities.size() <= 16
-                     ? detail::fifo_io_group(log_, shape,
-                                             group.capacities)
-                     : detail::batched_io_group(log_, shape,
-                                                group.capacities);
+        part = shape.policy == Policy::kFifo &&
+                       capacities.size() <= detail::kMaxSlicedCapacities
+                   ? detail::fifo_io_group(log_, shape, capacities, slice,
+                                           replay.misses.get())
+                   : detail::batched_io_group(log_, shape, capacities);
         break;
       case SweepGroup::Kind::kReplay:
-        points.push_back(detail::replay_io_cache(log_, shape));
+      case SweepGroup::Kind::kMulti:
+        part = {detail::replay_io_cache(log_, shape, slice,
+                                        replay.misses.get())};
         break;
-      case SweepGroup::Kind::kMulti: {
-        std::vector<IoNodeSimConfig> shapes;
-        shapes.reserve(group.point_configs.size());
-        for (const std::size_t c : group.point_configs) {
-          shapes.push_back(configs[c]);
-        }
-        points = detail::multi_io_group(log_, shapes);
-        break;
-      }
-    }
-    for (std::size_t m = 0; m < group.members.size(); ++m) {
-      results[group.members[m]] = points[group.member_point[m]];
     }
   });
+  // A kMulti group's shapes were listed in point order, so appending each
+  // replay's points rebuilds every group's point vector.
+  std::vector<std::vector<IoNodeSimResult>> points(groups.size());
+  for (auto& replay : replays) {
+    for (IoNodeSimResult& r : detail::merge_slices(std::move(replay.parts),
+                                                   replay.misses.get())) {
+      points[replay.group].push_back(std::move(r));
+    }
+  }
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const auto& group = groups[g];
+    for (std::size_t m = 0; m < group.members.size(); ++m) {
+      results[group.members[m]] = points[g][group.member_point[m]];
+    }
+  }
   return results;
 }
 

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -48,6 +49,105 @@ struct BlockSpan {
   return {op.offset / bs,
           (op.offset + std::max<std::int64_t>(op.bytes, 1) - 1) / bs};
 }
+
+/// Runs a read through one node's front cache with the "fully satisfied
+/// from the local buffer" rule: true when every block it touches was
+/// resident before the request ran.  All blocks are looked up first, then
+/// all are touched.
+[[nodiscard]] bool serve_locally(BlockCache& cache, const ReplayOp& op,
+                                 BlockSpan span);
+
+/// The part of a group pass one sweep work unit simulates: the nodes `n`
+/// with `n % count == index`.  The swept caches are per node (one per I/O
+/// node, one per compute node), so the slices of a pass split its work
+/// exactly.  A serial runner runs every pass as slice 0 of 1.
+struct NodeSlice {
+  std::uint32_t index = 0;
+  std::uint32_t count = 1;
+  [[nodiscard]] bool owns(NodeId node) const noexcept {
+    return static_cast<std::uint32_t>(node) % count == index;
+  }
+};
+
+/// One slice's view of round-robin striping (block b lives on I/O node
+/// b % io_nodes): the I/O nodes it owns, numbered by a dense local index,
+/// and a walk over only the blocks that land on them:
+///
+///   for (auto w = stripes.start(first); w.block <= last;
+///        w = stripes.next(w)) { ... caches[w.local] ... }
+class SliceStripes {
+ public:
+  SliceStripes(int io_nodes, NodeSlice slice);
+
+  /// An owned block, its I/O node and that node's local index.
+  struct Walk {
+    std::int64_t block = 0;
+    std::size_t node = 0;
+    std::size_t local = 0;
+  };
+
+  /// I/O nodes this slice owns; local indices run over [0, owned()).
+  [[nodiscard]] std::size_t owned() const noexcept { return owned_; }
+  /// Local index of the (owned) I/O node block `b` stripes to.
+  [[nodiscard]] std::size_t local(std::int64_t b) const noexcept {
+    return local_[static_cast<std::size_t>(b) % local_.size()];
+  }
+
+  /// The first owned block at or after `first`.
+  [[nodiscard]] Walk start(std::int64_t first) const noexcept {
+    return skip({first, static_cast<std::size_t>(first) % gap_.size(), 0});
+  }
+  /// The next owned block after `w`.
+  [[nodiscard]] Walk next(Walk w) const noexcept {
+    ++w.block;
+    if (++w.node == gap_.size()) w.node = 0;
+    return skip(w);
+  }
+
+ private:
+  [[nodiscard]] Walk skip(Walk w) const noexcept {
+    const std::size_t d = gap_[w.node];
+    w.block += static_cast<std::int64_t>(d);
+    w.node += d;
+    if (w.node >= gap_.size()) w.node -= gap_.size();
+    w.local = local_[w.node];
+    return w;
+  }
+
+  std::vector<std::uint32_t> gap_;    // node -> distance to the next owned
+  std::vector<std::uint32_t> local_;  // owned node -> dense local index
+  std::size_t owned_ = 0;
+};
+
+/// Most capacities one sliced pass can cover: the request miss mask below
+/// has one bit per capacity.
+inline constexpr std::size_t kMaxSlicedCapacities = 16;
+
+/// Per-request miss bits shared by the slices of one sliced pass.  A
+/// request hits a cache only when all its blocks hit, and its blocks may
+/// stripe to I/O nodes in different slices, so no slice can decide alone:
+/// each ORs in bit c when one of its blocks missed capacity c.  Every slice
+/// replays the same request sequence (front caches included), so request r
+/// is the same request in each.
+class RequestMisses {
+ public:
+  explicit RequestMisses(std::size_t max_requests) : bits_(max_requests, 0) {}
+
+  /// Safe to call concurrently from the slices of one pass.
+  void add(std::uint64_t request, std::uint16_t miss) {
+    if (miss == 0) return;
+    std::atomic_ref<std::uint16_t>(bits_[static_cast<std::size_t>(request)])
+        .fetch_or(miss, std::memory_order_relaxed);
+  }
+
+  /// Per capacity, the requests among the first `requests` with its bit
+  /// clear.  Call once every slice has finished.
+  [[nodiscard]] std::vector<std::uint64_t> hits(std::uint64_t requests,
+                                                std::size_t capacities) const;
+
+ private:
+  std::vector<std::uint16_t> bits_;
+};
 
 /// (job, node) -> BlockCache with a memo of the last lookup: replay streams
 /// are long runs of one node's requests, so most lookups hit the memo.
@@ -169,8 +269,9 @@ enum class SweepMode : std::uint8_t {
   /// one stack-simulation pass covering every buffer count (Mattson), the
   /// rest run one batched replay stepping all configs per record.  Groups
   /// left with a single point (the Figure 9 I/O-node-count spread, the §4.8
-  /// front singleton) fuse into one multi-topology pass stepping every
-  /// shape's own cache set per op.  Results are bit-identical to kPerConfig
+  /// front singleton) are planned as one multi-topology pass that replays
+  /// each shape on its own.  A pooled runner splits every pass into node
+  /// slices (see SweepRunner).  Results are bit-identical to kPerConfig
   /// (the differential tests enforce it).
   kGrouped,
 };
@@ -191,9 +292,10 @@ struct SweepGroup {
     kStack,    ///< single-pass LRU stack simulation, all buffer counts at once
     kBatched,  ///< one decode pass stepping every config per record
     kReplay,   ///< plain per-config replay (group has one distinct point)
-    /// Fused single-point topologies: one pass stepping several otherwise
-    /// ungroupable shapes (distinct io_nodes / front / policy) at once.
-    /// The displayed policy is the first folded member's.
+    /// Single-point topologies planned as one pass: several otherwise
+    /// ungroupable shapes (distinct io_nodes / front / policy), each
+    /// replayed as its own work units.  The displayed policy is the first
+    /// folded member's.
     kMulti,
   };
   Kind kind = Kind::kReplay;
@@ -239,10 +341,18 @@ struct SweepPlan {
 /// The trace is pre-filtered once (detail::prepare_replay) so replays touch
 /// only data requests and never repeat the read-only-session set lookups.
 /// In the default SweepMode::kGrouped, configurations are further grouped by
-/// (policy, topology, front-cache setting) and each *group* costs one trace
+/// (policy, topology, front-cache setting) and each *group* is one planned
 /// pass — exact LRU stack simulation for every buffer count at once, batched
-/// replay for the non-inclusive policies — and the groups (not the points)
-/// fan out over the thread pool.
+/// replay for the non-inclusive policies.
+///
+/// A pooled runner executes the planned passes as a flat list of work units:
+/// each pass (each shape, for a kMulti pass) restricted to one node slice
+/// (detail::NodeSlice).  An I/O pass splits into min(pool threads, io_nodes)
+/// slices by I/O node, the Figure 8 stack pass into pool-thread slices by
+/// compute node.  Every unit of a run_io / run_compute call fans out at
+/// once, heaviest kind first (batched, then stack, then replays), so the
+/// sweep is no longer bound by its largest pass.  The non-FIFO batched pass
+/// and the Figure 8 single-point replay stay whole.
 class SweepRunner {
  public:
   /// Serial runner: passes execute inline on the calling thread.  The
@@ -285,10 +395,12 @@ class SweepRunner {
   [[nodiscard]] std::size_t passes_executed() const;
 
  private:
-  /// parallel_for over the pool when one was given, else a serial loop.
-  /// Bumps the passes_executed() ledger by `n` once every pass finished.
-  void for_each(std::size_t n,
-                const std::function<void(std::size_t)>& body) const;
+  /// Runs body(u) for the work units u in [0, units): in order on a serial
+  /// runner, else claimed in order by up to one lane per pool thread, so
+  /// units listed heaviest first run longest-first.  Then bumps the
+  /// passes_executed() ledger by `passes`.
+  void run_units(std::size_t units, std::size_t passes,
+                 const std::function<void(std::size_t)>& body) const;
 
   ReplayLog log_;
   util::ThreadPool* pool_ = nullptr;

@@ -223,7 +223,10 @@ class PerNodeStacks {
 /// distinct blocks the trace touches.
 class FifoSeqTable {
  public:
-  explicit FifoSeqTable(std::size_t k) : k_(k) { rehash(1u << 16); }
+  /// `buckets` (a power of two) is the starting size.
+  FifoSeqTable(std::size_t k, std::size_t buckets) : k_(k) {
+    rehash(buckets);
+  }
 
   /// The k sequence counters for `key`, zero-initialized on first touch.
   /// `live(key, seqs)` says whether an entry still matters (some stamp is
@@ -292,9 +295,9 @@ class FifoSeqTable {
 
 }  // namespace
 
-std::vector<ComputeCacheResult> stack_compute_group(
+ComputeBuckets stack_compute_slice(
     const ReplayLog& ops, std::int64_t block_size,
-    const std::vector<std::size_t>& buffer_counts) {
+    const std::vector<std::size_t>& buffer_counts, NodeSlice slice) {
   util::check(block_size > 0, "bad block size");
   const std::size_t k = buffer_counts.size();
 
@@ -303,15 +306,14 @@ std::vector<ComputeCacheResult> stack_compute_group(
   // capacity that would have served all its blocks (the worst block's
   // bucket).
   PerNodeStacks stacks(buffer_counts);
-  std::map<JobId, std::vector<std::uint64_t>> per_job;  // k+1 buckets
+  ComputeBuckets out;
   std::vector<std::uint64_t>* last_buckets = nullptr;
   JobId last_job = cfs::kNoJob;
-  std::uint64_t total_reads = 0;
 
   // Audited: ReplayLog traversals run the lambda inline on this thread.
   // NOLINTNEXTLINE(charisma-shared-capture)
   ops.for_each([&](const ReplayOp& op) {
-    if (!op.is_read || !op.read_only_session) return;
+    if (!op.is_read || !op.read_only_session || !slice.owns(op.node)) return;
     SegmentedLruStack& stack = stacks.at(op.job, op.node);
     const auto [first, last] = span_of(op, block_size);
     // "Fully satisfied from the local buffer": every touched block present
@@ -326,22 +328,35 @@ std::vector<ComputeCacheResult> stack_compute_group(
       stack.touch({op.file, b});
     }
     if (last_buckets == nullptr || op.job != last_job) {
-      auto [it, inserted] = per_job.try_emplace(op.job);
+      auto [it, inserted] = out.per_job.try_emplace(op.job);
       if (inserted) it->second.assign(k + 1, 0);
       last_job = op.job;
       last_buckets = &it->second;
     }
     ++(*last_buckets)[worst];
-    ++total_reads;
+    ++out.reads;
   });
+  return out;
+}
+
+std::vector<ComputeCacheResult> finish_compute_slices(
+    std::vector<ComputeBuckets> slices, std::size_t k) {
+  ComputeBuckets all = std::move(slices.at(0));
+  for (std::size_t s = 1; s < slices.size(); ++s) {
+    all.reads += slices[s].reads;
+    for (const auto& [job, buckets] : slices[s].per_job) {
+      auto& sum = all.per_job.try_emplace(job, k + 1, 0).first->second;
+      for (std::size_t i = 0; i <= k; ++i) sum[i] += buckets[i];
+    }
+  }
 
   // Finalize one result per capacity.  The per-job loop mirrors
   // replay_compute_cache exactly — same job order (ordered map), same
   // accumulation order and arithmetic — so every derived double is
   // bit-identical to the per-config replay's.
   std::vector<ComputeCacheResult> out(k);
-  for (ComputeCacheResult& r : out) r.reads = total_reads;
-  for (const auto& [job, buckets] : per_job) {
+  for (ComputeCacheResult& r : out) r.reads = all.reads;
+  for (const auto& [job, buckets] : all.per_job) {
     std::uint64_t job_reads = 0;
     for (const std::uint64_t count : buckets) job_reads += count;
     std::uint64_t job_hits = 0;
@@ -368,20 +383,27 @@ std::vector<ComputeCacheResult> stack_compute_group(
 
 std::vector<IoNodeSimResult> stack_io_group(
     const ReplayLog& ops, const IoNodeSimConfig& shape,
-    const std::vector<std::size_t>& per_node_buffers) {
-  util::check(shape.io_nodes >= 1, "need at least one I/O node");
+    const std::vector<std::size_t>& per_node_buffers, NodeSlice slice,
+    RequestMisses* misses) {
   util::check(shape.block_size > 0, "bad block size");
   CHECK(shape.policy == Policy::kLru,
         "stack simulation requires the inclusion property (LRU only), got ",
         to_string(shape.policy));
   const std::size_t k = per_node_buffers.size();
+  CHECK(misses == nullptr || k <= kMaxSlicedCapacities,
+        "a sliced pass covers at most ", kMaxSlicedCapacities,
+        " capacities, got ", k);
+  const SliceStripes stripes(shape.io_nodes, slice);
 
-  // One segmented stack per I/O node (blocks stripe round-robin), one §4.8
-  // front-cache set shared by every capacity: the front setting is part of
-  // the group key, so the filtered stream is the same for all of them.
+  // One segmented stack per owned I/O node (blocks stripe round-robin), one
+  // §4.8 front-cache set shared by every capacity: the front setting is
+  // part of the group key, so the filtered stream is the same for all of
+  // them.
   std::vector<SegmentedLruStack> nodes;
-  nodes.reserve(static_cast<std::size_t>(shape.io_nodes));
-  for (int i = 0; i < shape.io_nodes; ++i) nodes.emplace_back(per_node_buffers);
+  nodes.reserve(stripes.owned());
+  for (std::size_t i = 0; i < stripes.owned(); ++i) {
+    nodes.emplace_back(per_node_buffers);
+  }
   PerNodeCaches front(shape.compute_buffers_per_node, Policy::kLru);
   std::uint64_t requests = 0;
   std::uint64_t block_accesses = 0;
@@ -392,43 +414,34 @@ std::vector<IoNodeSimResult> stack_io_group(
   // Audited: ReplayLog traversals run the lambda inline on this thread.
   // NOLINTNEXTLINE(charisma-shared-capture)
   ops.for_each([&](const ReplayOp& op) {
-    const auto [first, last] = span_of(op, shape.block_size);
-
+    const BlockSpan span = span_of(op, shape.block_size);
     if (shape.compute_buffers_per_node > 0 && op.is_read &&
-        op.read_only_session) {
-      BlockCache& cache = front.at(op.job, op.node);
-      bool full_hit = true;
-      for (std::int64_t b = first; b <= last; ++b) {
-        if (!cache.contains({op.file, b})) {
-          full_hit = false;
-          break;
-        }
-      }
-      for (std::int64_t b = first; b <= last; ++b) {
-        (void)cache.access({op.file, b}, op.node);
-      }
-      if (full_hit) {
-        ++filtered;
-        return;  // never reaches the I/O nodes
-      }
+        op.read_only_session &&
+        serve_locally(front.at(op.job, op.node), op, span)) {
+      ++filtered;
+      return;  // never reaches the I/O nodes
     }
 
-    ++requests;
+    const std::uint64_t request = requests++;
     // The request is a hit in a capacity-C cache iff every touched block
     // hits, i.e. iff the worst block's bucket does.  Buckets are measured
     // access-by-access (not at request start): that is what the per-config
     // replay does, since each block access updates the cache before the
     // next block of the same request is looked up.
     std::size_t worst = 0;
-    for (std::int64_t b = first; b <= last; ++b) {
-      const std::size_t d =
-          nodes[static_cast<std::size_t>(b % shape.io_nodes)].access(
-              {op.file, b});
+    for (auto w = stripes.start(span.first); w.block <= span.last;
+         w = stripes.next(w)) {
+      const std::size_t d = nodes[w.local].access({op.file, w.block});
       ++block_accesses;
       ++block_buckets[d];
       worst = std::max(worst, d);
     }
-    ++request_buckets[worst];
+    if (misses != nullptr) {
+      // Worst bucket w: capacities 0..w-1 missed.
+      misses->add(request, static_cast<std::uint16_t>((1u << worst) - 1));
+    } else {
+      ++request_buckets[worst];
+    }
   });
 
   std::vector<IoNodeSimResult> out(k);
@@ -449,15 +462,16 @@ std::vector<IoNodeSimResult> stack_io_group(
 
 std::vector<IoNodeSimResult> fifo_io_group(
     const ReplayLog& ops, const IoNodeSimConfig& shape,
-    const std::vector<std::size_t>& per_node_buffers) {
-  util::check(shape.io_nodes >= 1, "need at least one I/O node");
+    const std::vector<std::size_t>& per_node_buffers, NodeSlice slice,
+    RequestMisses* misses) {
   util::check(shape.block_size > 0, "bad block size");
   CHECK(shape.policy == Policy::kFifo,
         "the shared-hash group pass models FIFO only, got ",
         to_string(shape.policy));
   const std::size_t k = per_node_buffers.size();
-  CHECK(k <= 16, "FIFO group pass is limited to 16 capacities, got ", k);
-  const auto io_nodes = static_cast<std::size_t>(shape.io_nodes);
+  CHECK(k <= kMaxSlicedCapacities, "FIFO group pass is limited to ",
+        kMaxSlicedCapacities, " capacities, got ", k);
+  const SliceStripes stripes(shape.io_nodes, slice);
 
   // FIFO never reorders on a hit, so an inserted block stays cached exactly
   // until `capacity` further insertions land on its (capacity, node) queue.
@@ -467,12 +481,16 @@ std::vector<IoNodeSimResult> fifo_io_group(
   // probe of the shared table reaches every capacity's stamp for the block
   // (a block always stripes to the same I/O node, so its queues are fixed).
   // 32-bit stamps are safe: a queue sees at most one insertion per block
-  // access, and traces are far below 2^32 block accesses per node.
-  FifoSeqTable table(k);
-  std::vector<std::uint32_t> insertions(k * io_nodes, 0);
+  // access, and traces are far below 2^32 block accesses per node.  Queues
+  // are kept for the owned I/O nodes only, by local index.
+  // 2^16 starting buckets for all I/O nodes; a slice starts at its share.
+  FifoSeqTable table(
+      k, std::bit_ceil(std::max<std::size_t>(
+             1024, (std::size_t{1} << 16) * stripes.owned() /
+                       static_cast<std::size_t>(shape.io_nodes))));
+  std::vector<std::uint32_t> insertions(k * stripes.owned(), 0);
   const auto live = [&](const BlockKey& key, const std::uint32_t* seq) {
-    const std::uint32_t* ins =
-        &insertions[static_cast<std::size_t>(key.block) % io_nodes * k];
+    const std::uint32_t* ins = &insertions[stripes.local(key.block) * k];
     for (std::size_t c = 0; c < k; ++c) {
       if (seq[c] != 0 && ins[c] - seq[c] < per_node_buffers[c]) return true;
     }
@@ -484,38 +502,26 @@ std::vector<IoNodeSimResult> fifo_io_group(
   std::uint64_t filtered = 0;
   std::vector<std::uint64_t> block_hits(k, 0);
   std::vector<std::uint64_t> request_hits(k, 0);
+  const auto all = static_cast<std::uint16_t>((1u << k) - 1);
 
   // Audited: ReplayLog traversals run the lambda inline on this thread.
   // NOLINTNEXTLINE(charisma-shared-capture)
   ops.for_each([&](const ReplayOp& op) {
-    const auto [first, last] = span_of(op, shape.block_size);
-
+    const BlockSpan span = span_of(op, shape.block_size);
     if (shape.compute_buffers_per_node > 0 && op.is_read &&
-        op.read_only_session) {
-      BlockCache& cache = front.at(op.job, op.node);
-      bool full_hit = true;
-      for (std::int64_t b = first; b <= last; ++b) {
-        if (!cache.contains({op.file, b})) {
-          full_hit = false;
-          break;
-        }
-      }
-      for (std::int64_t b = first; b <= last; ++b) {
-        (void)cache.access({op.file, b}, op.node);
-      }
-      if (full_hit) {
-        ++filtered;
-        return;
-      }
+        op.read_only_session &&
+        serve_locally(front.at(op.job, op.node), op, span)) {
+      ++filtered;
+      return;
     }
 
-    ++requests;
-    std::uint16_t request_mask = static_cast<std::uint16_t>((1u << k) - 1);
-    for (std::int64_t b = first; b <= last; ++b) {
+    const std::uint64_t request = requests++;
+    std::uint16_t miss = 0;  // bit c: capacity c missed a block
+    for (auto w = stripes.start(span.first); w.block <= span.last;
+         w = stripes.next(w)) {
       ++block_accesses;
-      std::uint32_t* seq = table.at({op.file, b}, live);
-      std::uint32_t* ins =
-          &insertions[static_cast<std::size_t>(b) % io_nodes * k];
+      std::uint32_t* seq = table.at({op.file, w.block}, live);
+      std::uint32_t* ins = &insertions[w.local * k];
       for (std::size_t c = 0; c < k; ++c) {
         // Stamp 0 means "never inserted"; a stale stamp (>= capacity
         // insertions ago) means the block has been implicitly evicted.
@@ -523,13 +529,17 @@ std::vector<IoNodeSimResult> fifo_io_group(
           ++block_hits[c];
           continue;  // FIFO: a hit leaves the cache untouched
         }
-        request_mask &= static_cast<std::uint16_t>(~(1u << c));
+        miss |= static_cast<std::uint16_t>(1u << c);
         // A zero capacity never hits and never stores.
         if (per_node_buffers[c] != 0) seq[c] = ++ins[c];
       }
     }
-    for (std::size_t c = 0; c < k; ++c) {
-      if (request_mask & (1u << c)) ++request_hits[c];
+    if (misses != nullptr) {
+      misses->add(request, miss);
+    } else {
+      for (std::uint16_t hit = all & ~miss; hit != 0; hit &= hit - 1) {
+        ++request_hits[static_cast<std::size_t>(std::countr_zero(hit))];
+      }
     }
   });
 

@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "cache/simulators.hpp"
@@ -116,30 +117,50 @@ class SegmentedLruStack {
 
 namespace detail {
 
-/// Figure 8 in one pass: exact ComputeCacheResult for every buffer count in
-/// `buffer_counts` (sorted ascending, distinct), per-(job, node) LRU caches
-/// of `block_size` blocks.  Bit-identical to replay_compute_cache run once
-/// per count.
-[[nodiscard]] std::vector<ComputeCacheResult> stack_compute_group(
+/// One compute-node slice of the Figure 8 stack pass: per job, bucket i
+/// counts the reads whose smallest fully-serving capacity is
+/// buffer_counts[i]; bucket k (== buffer_counts.size()) counts reads every
+/// capacity missed.  Buckets add across slices.
+struct ComputeBuckets {
+  std::map<JobId, std::vector<std::uint64_t>> per_job;
+  std::uint64_t reads = 0;
+};
+
+/// Replays the reads of the (job, node) caches whose compute node `slice`
+/// owns, with per-(job, node) LRU caches of `block_size` blocks, for every
+/// buffer count in `buffer_counts` (sorted ascending, distinct) at once.
+[[nodiscard]] ComputeBuckets stack_compute_slice(
     const ReplayLog& ops, std::int64_t block_size,
-    const std::vector<std::size_t>& buffer_counts);
+    const std::vector<std::size_t>& buffer_counts, NodeSlice slice = {});
+
+/// Figure 8 results for the `k` buffer counts of one stack pass, from its
+/// slices.  Bit-identical to replay_compute_cache run once per count.
+[[nodiscard]] std::vector<ComputeCacheResult> finish_compute_slices(
+    std::vector<ComputeBuckets> slices, std::size_t k);
 
 /// Figure 9 / §4.8 in one pass: exact IoNodeSimResult for every per-node
 /// buffer count in `per_node_buffers` (sorted ascending, distinct).  `shape`
 /// supplies the shared topology — io_nodes, block_size and the front-cache
 /// setting; its policy must be kLru and its total_buffers is ignored.
 /// Bit-identical to replay_io_cache run once per count.
+///
+/// A sliced pass (`slice` other than 0 of 1) simulates only the I/O nodes
+/// the slice owns and ORs its request misses into `misses` instead of
+/// counting request hits; merge the slices' block counters and read the
+/// request hits off the mask (at most kMaxSlicedCapacities counts).
 [[nodiscard]] std::vector<IoNodeSimResult> stack_io_group(
     const ReplayLog& ops, const IoNodeSimConfig& shape,
-    const std::vector<std::size_t>& per_node_buffers);
+    const std::vector<std::size_t>& per_node_buffers, NodeSlice slice = {},
+    RequestMisses* misses = nullptr);
 
 /// The FIFO analogue of stack_io_group: one shared-hash pass over the op
 /// stream covering every per-node buffer count (at most 16 of them).
 /// `shape.policy` must be kFifo.  Bit-identical to replay_io_cache run once
-/// per count.
+/// per count.  Slices as stack_io_group does.
 [[nodiscard]] std::vector<IoNodeSimResult> fifo_io_group(
     const ReplayLog& ops, const IoNodeSimConfig& shape,
-    const std::vector<std::size_t>& per_node_buffers);
+    const std::vector<std::size_t>& per_node_buffers, NodeSlice slice = {},
+    RequestMisses* misses = nullptr);
 
 }  // namespace detail
 

@@ -3,7 +3,8 @@
 // must produce bit-identical results between SweepMode::kPerConfig (the
 // reference: one full replay per point) and SweepMode::kGrouped (stack
 // simulation for LRU, batched replay for the rest), for the serial runner
-// and for pools of 1 / 2 / 8 threads.  "Bit-identical" means every counter
+// and for pools of 1 / 2 / 3 / 4 / 8 threads (a pooled runner splits each
+// pass into I/O-node slices; 3 and 4 do not divide the 10 I/O nodes).  "Bit-identical" means every counter
 // and every derived double, including the full per-job hit-rate CDF.
 //
 // This is the contract that lets the grouped path be the default everywhere
@@ -155,7 +156,7 @@ TEST(SweepDifferential, GroupedMatchesPerConfigSerially) {
 
 TEST(SweepDifferential, GroupedMatchesPerConfigAcrossThreadCounts) {
   const Fixture& f = fixture();
-  for (const std::size_t threads : {1u, 2u, 8u}) {
+  for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
     util::ThreadPool pool(threads);
     const SweepRunner runner(f.output.sorted, f.read_only, pool);
@@ -197,7 +198,9 @@ TEST(SweepDifferential, PlansCoverEveryConfigWithFewerPasses) {
     if (g.kind == SweepGroup::Kind::kStack) ++stack_passes;
     if (g.kind == SweepGroup::Kind::kBatched) ++batched_passes;
     if (g.kind == SweepGroup::Kind::kMulti) ++multi_passes;
-    if (g.kind != SweepGroup::Kind::kReplay) EXPECT_GT(g.configs, 1u);
+    if (g.kind != SweepGroup::Kind::kReplay) {
+      EXPECT_GT(g.configs, 1u);
+    }
     EXPECT_LE(g.simulated, g.configs);
   }
   // The main grid: one LRU stack pass; FIFO and IP-aware batched passes.

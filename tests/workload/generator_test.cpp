@@ -166,6 +166,9 @@ TEST_P(ScriptInvariants, EveryJobScriptIsWellFormed) {
           case OpKind::kBarrier:
             ++barriers;
             break;
+          case OpKind::kEnd:
+            ADD_FAILURE() << "kEnd is a source sentinel, never scripted";
+            break;
         }
       }
       EXPECT_TRUE(open_paths.empty()) << "files left open at job end";

@@ -32,6 +32,12 @@
 //              paper-figure report end to end
 //   --dump-workload: export the selected source's op stream as a chwl v1
 //              text log (see workload/replay.hpp for the schema) and exit
+//
+// An unknown --report section or a malformed command line prints the usage
+// line and exits 2; a runtime error (a bad --trace-mode, an unreadable
+// trace) prints one error line and exits 1.
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <exception>
 #include <optional>
@@ -55,24 +61,32 @@ using namespace charisma;
 
 namespace {
 
+/// The --report sections; "all" prints every one.
+constexpr std::array<const char*, 13> kReports{
+    "all", "jobs", "nodes", "population", "files-per-job", "sizes",
+    "requests", "sequentiality", "intervals", "regularity", "modes",
+    "sharing", "paper"};
+
 int usage() {
+  std::string sections;
+  for (const char* r : kReports) {
+    if (!sections.empty()) sections += '|';
+    sections += r;
+  }
   std::fprintf(stderr,
-               "usage: charisma_analyze <trace.chtr> [--report=SECTION] "
+               "usage: charisma_analyze (<trace.chtr> | "
+               "--workload=synthetic|replay:<chwl>|checkpoint [--scale=S] "
+               "[--seed=N] [--chkpoint-*=...]) [--report=SECTION] "
                "[--cache=io|compute|combined] [--buffers=N] "
                "[--policy=lru|fifo|ip] [--strided] "
                "[--trace-mode=streaming|materialized] "
-               "[--spill-budget-mb=N] [--spill-dir=DIR]\n"
-               "       charisma_analyze --workload=synthetic|replay:<chwl>|"
-               "checkpoint [--scale=S] [--seed=N] "
-               "[--chkpoint-*=...] [analysis flags]\n"
-               "       charisma_analyze --workload=... "
-               "--dump-workload=<out.chwl>\n");
+               "[--spill-budget-mb=N] [--spill-dir=DIR] "
+               "[--dump-workload=<out.chwl>]; SECTION is one of %s\n",
+               sections.c_str());
   return 2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::vector<std::string> known{
       "report",   "cache",         "buffers", "policy",
       "strided",  "trace-mode",    "workload", "dump-workload",
@@ -81,6 +95,10 @@ int main(int argc, char** argv) {
     known.push_back(name);
   }
   util::Flags flags(argc, argv, known);
+  const std::string report = flags.get("report", "all");
+  if (std::find(kReports.begin(), kReports.end(), report) == kReports.end()) {
+    return usage();
+  }
 
   // Workload-source modes share one config: --scale/--seed/--chkpoint-*
   // apply on top of the NAS defaults.
@@ -119,7 +137,6 @@ int main(int argc, char** argv) {
   const std::string path = study_mode ? "" : flags.remaining()[1];
   const core::TraceMode mode =
       core::parse_trace_mode(flags.get("trace-mode", "streaming"));
-  const std::string report = flags.get("report", "all");
   const auto want = [&](const char* name) {
     return report == "all" || report == name;
   };
@@ -325,4 +342,15 @@ int main(int argc, char** argv) {
             .c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "charisma_analyze: error: %s\n", e.what());
+    return 1;
+  }
 }

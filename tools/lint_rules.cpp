@@ -531,8 +531,8 @@ struct SinkCall {
   };
   static constexpr Sink kSinks[] = {
       {"submit", true, true},      {"parallel_for", false, true},
-      {"for_each", false, true},   {"run_compute", false, false},
-      {"run_io", false, false},
+      {"for_each", false, true},   {"run_units", false, true},
+      {"run_compute", false, false}, {"run_io", false, false},
   };
   const std::string_view code = s.code;
   std::vector<SinkCall> out;
