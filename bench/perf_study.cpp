@@ -10,12 +10,9 @@
 // Flags:
 //   --scale=0.2            workload scale (same meaning as the fig* benches)
 //   --seed=42              workload seed
-//   --threads=0            sweep/session worker threads (0 = hardware)
-//   --sweep-mode=grouped   cache sweep execution: grouped | per-config
-//   --trace-mode=streaming trace pipeline: streaming (bounded RSS) |
-//                          materialized (in-memory reference)
-//   --spill-budget-mb=384  streaming memory-tier budget (0 = all-disk)
-//   --spill-dir=<dir>      streaming spill directory ($TMPDIR default)
+//   --threads=0            sweep worker threads (0 = hardware)
+//   --spill-budget-mb=384  spill memory-tier budget (0 = all-disk)
+//   --spill-dir=<dir>      spill directory ($TMPDIR default)
 //   --workload=synthetic   workload source: synthetic | replay:<chwl path> |
 //                          checkpoint (see workload/source.hpp)
 //   --chkpoint-size/bw/runtime/mtti/nodes/chunk
@@ -23,19 +20,21 @@
 //   --out=<path>           also write the JSON there (stdout always)
 //   --check-digest=0x...   exit non-zero unless the trace digest matches
 //
-// Unknown arguments print a usage line and exit 2; a runtime error (an
-// unwritable spill directory, say) prints one "perf_study: error:" line and
-// exits 1.
+// The study streams its trace (core/stream_study.hpp) and the sweep runs
+// grouped; the reference paths those replace live on only as test oracles
+// (the SweepDifferential and StreamingDifferential suites).
 //
-// Per-point sweep summaries go to stderr in a mode-independent format, so
-// CI can diff the two sweep modes' lines byte-for-byte.
+// Unknown arguments — retired flags included — print a usage line and exit
+// 2; a runtime error (an unwritable spill directory, say) prints one
+// "perf_study: error:" line and exits 1.
+//
+// Per-point sweep summaries go to stderr, one line per config.
 #include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -104,8 +103,7 @@ using WallClock = std::chrono::steady_clock;  // NOLINT(charisma-wallclock)
   return configs;
 }
 
-/// Mode-independent per-point summary lines (stderr), byte-diffable between
-/// --sweep-mode=grouped and --sweep-mode=per-config runs.
+/// Per-point summary lines (stderr), byte-diffable between builds.
 void print_sweep_results(
     const std::vector<cache::ComputeCacheConfig>& compute_configs,
     const std::vector<cache::ComputeCacheResult>& compute_results,
@@ -128,8 +126,6 @@ void print_sweep_results(
 int usage() {
   std::fprintf(stderr,
                "usage: perf_study [--scale=S] [--seed=N] [--threads=N] "
-               "[--sweep-mode=grouped|per-config] "
-               "[--trace-mode=streaming|materialized] "
                "[--workload=synthetic|replay:<path>|checkpoint] "
                "[--chkpoint-*=...] [--spill-budget-mb=N] [--spill-dir=DIR] "
                "[--out=PATH] [--check-digest=0x...]\n");
@@ -137,9 +133,9 @@ int usage() {
 }
 
 int run(int argc, char** argv) {
-  std::vector<std::string> known{"scale",      "seed",      "threads",
-                                 "sweep-mode", "trace-mode", "workload",
-                                 "out",        "check-digest",
+  std::vector<std::string> known{"scale",        "seed",
+                                 "threads",      "workload",
+                                 "out",          "check-digest",
                                  "spill-budget-mb", "spill-dir"};
   for (const auto& name : workload::checkpoint_flag_names()) {
     known.push_back(name);
@@ -150,15 +146,6 @@ int run(int argc, char** argv) {
   const double scale = flags.get_double("scale", 0.2);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
   const auto threads = static_cast<std::size_t>(flags.get_int("threads", 0));
-  const std::string sweep_mode_name = flags.get("sweep-mode", "grouped");
-  CHECK(sweep_mode_name == "grouped" || sweep_mode_name == "per-config",
-        "--sweep-mode must be 'grouped' or 'per-config', got '",
-        sweep_mode_name, "'");
-  const cache::SweepMode sweep_mode = sweep_mode_name == "grouped"
-                                          ? cache::SweepMode::kGrouped
-                                          : cache::SweepMode::kPerConfig;
-  const std::string trace_mode_name = flags.get("trace-mode", "streaming");
-  const core::TraceMode trace_mode = core::parse_trace_mode(trace_mode_name);
 
   core::StudyConfig config;
   config.workload.scale = scale;
@@ -174,88 +161,37 @@ int run(int argc, char** argv) {
   const auto total_start = WallClock::now();
   auto stage_start = WallClock::now();
 
-  // Mode-dependent products.  The materialized StudyOutput must outlive the
-  // SweepRunner, which borrows its sorted trace; the streaming path hands
-  // the runner an owned replay-op spill instead.
-  std::optional<core::StudyOutput> materialized;
-  analysis::SessionStore store;
-  std::set<cache::SessionKey> read_only;
-  std::optional<cache::SweepRunner> sweeps;
-  std::uint64_t digest = 0;
-  std::uint64_t events_dispatched = 0;
-  std::uint64_t trace_records = 0;
-  std::uint64_t sorted_records = 0;
-  double study_ms = 0.0;
-  double sessions_ms = 0.0;
-  double digest_ms = 0.0;
-  // Spill-stage attribution, symmetric across modes: materialized runs
-  // report zero write/read and charge the session build as their sink time,
-  // so the streaming-tax fields line up column-for-column in the bench JSON.
-  core::SpillTelemetry spill;
-
-  if (trace_mode == core::TraceMode::kStreaming) {
-    // The study stage covers the simulation AND the one postprocessing
-    // merge that feeds every accumulator, so the dedicated sessions stage
-    // below is just the (cheap) store hand-off.
-    // The materialized branch below never computes the request-size /
-    // I/O-rate figure inputs, so skip them here too: the stage comparison
-    // must cover the same work in both modes.
-    core::StreamOptions sopts;
-    sopts.collect_rate_figures = false;
-    core::StreamedStudyOutput out = core::run_streamed_study(config, sopts);
-    study_ms = ms_since(stage_start);
-    // The digest fold runs inside run_streamed_study (it must, before the
-    // spill is consumed); pull it out of the study stage so both modes
-    // report the same verification pass under the same name.
-    digest_ms = out.spill.digest_ms;
-    study_ms -= digest_ms;
-    digest = out.trace_digest;
-    events_dispatched = out.events_dispatched;
-    trace_records = out.records;
-    sorted_records = out.streamed_records;
-    spill = out.spill;
-    stage_start = WallClock::now();
-    store = std::move(out.sessions);
-    read_only = store.read_only_sessions();
-    sessions_ms = ms_since(stage_start);
-    sweeps.emplace(std::move(out.replay_ops), read_only, pool);
-  } else {
-    materialized = core::run_study(config);
-    study_ms = ms_since(stage_start);
-    stage_start = WallClock::now();
-    digest = materialized->raw.digest();
-    digest_ms = ms_since(stage_start);
-    events_dispatched = materialized->events_dispatched;
-    trace_records = materialized->raw.record_count();
-    sorted_records = materialized->sorted.records.size();
-    stage_start = WallClock::now();
-    store = analysis::SessionStore::build_parallel(materialized->sorted, pool);
-    read_only = store.read_only_sessions();
-    sessions_ms = ms_since(stage_start);
-    sweeps.emplace(materialized->sorted, read_only, pool);
-    spill.sink_ms = sessions_ms;
-    spill.digest_ms = digest_ms;
-    spill.spill_budget_mb = config.spill_budget_mb;
-  }
+  // The study stage covers the simulation AND the one postprocessing merge
+  // that feeds every accumulator, so the sessions stage below only reads
+  // the finished store.
+  core::StreamedStudyOutput out = core::run_streamed_study(config);
+  double study_ms = ms_since(stage_start);
+  // The digest fold runs inside run_streamed_study (it must, before the
+  // spill is consumed); pull it out of the study stage and report it as its
+  // own verification stage.
+  const core::SpillTelemetry& spill = out.spill;
+  const double digest_ms = spill.digest_ms;
+  study_ms -= digest_ms;
+  stage_start = WallClock::now();
+  const std::set<cache::SessionKey> read_only =
+      out.sessions.read_only_sessions();
+  const double sessions_ms = ms_since(stage_start);
+  const cache::SweepRunner sweeps(std::move(out.replay_ops), read_only, pool);
 
   const auto compute_configs = compute_sweep();
   const auto io_configs = io_sweep();
   stage_start = WallClock::now();
-  const auto compute_results = sweeps->run_compute(compute_configs, sweep_mode);
-  const auto io_results = sweeps->run_io(io_configs, sweep_mode);
+  const auto compute_results = sweeps.run_compute(compute_configs);
+  const auto io_results = sweeps.run_io(io_configs);
   const double sweep_ms = ms_since(stage_start);
   const double total_ms = ms_since(total_start);
   // The sweeps re-read any on-disk replay-op frames once per trace pass.
-  spill.spill_bytes_read += sweeps->spill_bytes_read();
+  const std::int64_t spill_bytes_read =
+      spill.spill_bytes_read + sweeps.spill_bytes_read();
 
   const cache::SweepPlan compute_plan = cache::plan_compute_sweep(compute_configs);
   const cache::SweepPlan io_plan = cache::plan_io_sweep(io_configs);
-  const std::size_t sweep_passes =
-      sweep_mode == cache::SweepMode::kGrouped
-          ? compute_plan.passes() + io_plan.passes()
-          : compute_configs.size() + io_configs.size();
-  std::fprintf(stderr, "sweep mode: %s\n", to_string(sweep_mode));
-  std::fprintf(stderr, "trace mode: %s\n", to_string(trace_mode));
+  const std::size_t sweep_passes = compute_plan.passes() + io_plan.passes();
   std::fprintf(stderr, "compute plan: %s\n", compute_plan.describe().c_str());
   std::fprintf(stderr, "io plan: %s\n", io_plan.describe().c_str());
   std::fprintf(stderr,
@@ -267,7 +203,7 @@ int run(int argc, char** argv) {
                spill.spill_write_ms, spill.spill_read_ms, spill.sink_ms,
                digest_ms, spill.append_stall_ms,
                static_cast<long long>(spill.spill_bytes_written),
-               static_cast<long long>(spill.spill_bytes_read),
+               static_cast<long long>(spill_bytes_read),
                static_cast<unsigned long long>(spill.trace_blocks_in_memory),
                static_cast<unsigned long long>(spill.trace_blocks_on_disk),
                static_cast<unsigned long long>(spill.ops_chunks_in_memory),
@@ -277,11 +213,11 @@ int run(int argc, char** argv) {
 
   char digest_hex[32];
   std::snprintf(digest_hex, sizeof digest_hex, "0x%016llx",
-                static_cast<unsigned long long>(digest));
+                static_cast<unsigned long long>(out.trace_digest));
 
   const double events_per_sec =
       study_ms > 0.0
-          ? static_cast<double>(events_dispatched) / (study_ms / 1000.0)
+          ? static_cast<double>(out.events_dispatched) / (study_ms / 1000.0)
           : 0.0;
 
   std::string json;
@@ -290,8 +226,6 @@ int run(int argc, char** argv) {
   json += "  \"seed\": " + std::to_string(seed) + ",\n";
   json += "  \"threads\": " + std::to_string(pool.thread_count()) + ",\n";
   json += "  \"workload\": \"" + workload::to_string(config.source) + "\",\n";
-  json += "  \"sweep_mode\": \"" + sweep_mode_name + "\",\n";
-  json += "  \"trace_mode\": \"" + trace_mode_name + "\",\n";
   json += "  \"sweep_passes\": " + std::to_string(sweep_passes) + ",\n";
   json += "  \"stages_ms\": {\n";
   json += "    \"study\": " + std::to_string(study_ms) + ",\n";
@@ -312,7 +246,7 @@ int run(int argc, char** argv) {
   json += "  \"spill_bytes_written\": " +
           std::to_string(spill.spill_bytes_written) + ",\n";
   json += "  \"spill_bytes_read\": " +
-          std::to_string(spill.spill_bytes_read) + ",\n";
+          std::to_string(spill_bytes_read) + ",\n";
   json += "  \"spill_blocks_mem\": " +
           std::to_string(spill.trace_blocks_in_memory) + ",\n";
   json += "  \"spill_blocks_disk\": " +
@@ -322,11 +256,12 @@ int run(int argc, char** argv) {
   json += "  \"spill_ops_chunks_disk\": " +
           std::to_string(spill.ops_chunks_on_disk) + ",\n";
   json += "  \"events_dispatched\": " +
-          std::to_string(events_dispatched) + ",\n";
+          std::to_string(out.events_dispatched) + ",\n";
   json += "  \"events_per_sec\": " + std::to_string(events_per_sec) + ",\n";
-  json += "  \"trace_records\": " + std::to_string(trace_records) + ",\n";
-  json += "  \"sorted_records\": " + std::to_string(sorted_records) + ",\n";
-  json += "  \"replay_ops\": " + std::to_string(sweeps->replay_ops()) + ",\n";
+  json += "  \"trace_records\": " + std::to_string(out.records) + ",\n";
+  json += "  \"sorted_records\": " + std::to_string(out.streamed_records) +
+          ",\n";
+  json += "  \"replay_ops\": " + std::to_string(sweeps.replay_ops()) + ",\n";
   json += "  \"compute_sweep_points\": " +
           std::to_string(compute_results.size()) + ",\n";
   json += "  \"io_sweep_points\": " + std::to_string(io_results.size()) +

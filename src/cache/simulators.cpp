@@ -565,16 +565,8 @@ std::vector<Unit> units_of(const std::vector<SlicedReplay<Result>>& replays) {
 }  // namespace
 
 std::vector<ComputeCacheResult> SweepRunner::run_compute(
-    const std::vector<ComputeCacheConfig>& configs, SweepMode mode) const {
+    const std::vector<ComputeCacheConfig>& configs) const {
   std::vector<ComputeCacheResult> results(configs.size());
-  if (mode == SweepMode::kPerConfig) {
-    // Audited: results[i] is a distinct slot per iteration.
-    // NOLINTNEXTLINE(charisma-shared-capture)
-    run_units(configs.size(), configs.size(), [&](std::size_t i) {
-      results[i] = detail::replay_compute_cache(log_, configs[i]);
-    });
-    return results;
-  }
   const auto groups = detail::group_compute(configs);
   // The stack pass slices by compute node; a single point replays whole.
   const auto slices = static_cast<std::uint32_t>(
@@ -622,16 +614,8 @@ std::vector<ComputeCacheResult> SweepRunner::run_compute(
 }
 
 std::vector<IoNodeSimResult> SweepRunner::run_io(
-    const std::vector<IoNodeSimConfig>& configs, SweepMode mode) const {
+    const std::vector<IoNodeSimConfig>& configs) const {
   std::vector<IoNodeSimResult> results(configs.size());
-  if (mode == SweepMode::kPerConfig) {
-    // Audited: results[i] is a distinct slot per iteration.
-    // NOLINTNEXTLINE(charisma-shared-capture)
-    run_units(configs.size(), configs.size(), [&](std::size_t i) {
-      results[i] = detail::replay_io_cache(log_, configs[i]);
-    });
-    return results;
-  }
   const auto groups = detail::group_io(configs);
   // One replay per group, one per shape of a kMulti group.  An I/O pass
   // splits by I/O node into min(pool threads, io_nodes) slices, unless it

@@ -211,8 +211,7 @@ struct ComputeCacheResult {
     return hit_fraction(hits, reads);
   }
 
-  /// One-line counter summary (shared by the perf harness's sweep-mode
-  /// cross-check lines).
+  /// One-line counter summary (the perf harness's per-point lines).
   [[nodiscard]] std::string describe() const;
 };
 
@@ -261,29 +260,6 @@ struct IoNodeSimResult {
 
 // ---- Parameter sweeps ------------------------------------------------------
 
-/// How SweepRunner executes a batch of configurations.
-enum class SweepMode : std::uint8_t {
-  /// Reference: one full trace replay per configuration point.
-  kPerConfig,
-  /// Group configs by (policy, topology, front-cache setting); LRU groups run
-  /// one stack-simulation pass covering every buffer count (Mattson), the
-  /// rest run one batched replay stepping all configs per record.  Groups
-  /// left with a single point (the Figure 9 I/O-node-count spread, the §4.8
-  /// front singleton) are planned as one multi-topology pass that replays
-  /// each shape on its own.  A pooled runner splits every pass into node
-  /// slices (see SweepRunner).  Results are bit-identical to kPerConfig
-  /// (the differential tests enforce it).
-  kGrouped,
-};
-
-[[nodiscard]] constexpr const char* to_string(SweepMode m) noexcept {
-  switch (m) {
-    case SweepMode::kPerConfig: return "per-config";
-    case SweepMode::kGrouped: return "grouped";
-  }
-  return "?";
-}
-
 /// One pass of a grouped sweep, for introspection: how many config slots it
 /// covers and how many distinct cache points it actually simulates (configs
 /// collapsing to the same per-node buffer count are deduplicated).
@@ -326,8 +302,8 @@ struct SweepPlan {
   [[nodiscard]] std::string describe() const;
 };
 
-/// The plan run_compute / run_io would execute in SweepMode::kGrouped.
-/// Purely structural — no trace needed.
+/// The plan run_compute / run_io execute.  Purely structural — no trace
+/// needed.
 [[nodiscard]] SweepPlan plan_compute_sweep(
     const std::vector<ComputeCacheConfig>& configs);
 [[nodiscard]] SweepPlan plan_io_sweep(
@@ -340,10 +316,14 @@ struct SweepPlan {
 ///
 /// The trace is pre-filtered once (detail::prepare_replay) so replays touch
 /// only data requests and never repeat the read-only-session set lookups.
-/// In the default SweepMode::kGrouped, configurations are further grouped by
-/// (policy, topology, front-cache setting) and each *group* is one planned
-/// pass — exact LRU stack simulation for every buffer count at once, batched
-/// replay for the non-inclusive policies.
+/// Configurations are grouped by (policy, topology, front-cache setting) and
+/// each *group* is one planned pass — exact LRU stack simulation for every
+/// buffer count at once (Mattson), batched replay stepping every config per
+/// record for the non-inclusive policies.  Groups left with a single point
+/// (the Figure 9 I/O-node-count spread, the §4.8 front singleton) are
+/// planned as one multi-topology pass that replays each shape on its own.
+/// Results are bit-identical to one simulate_compute_cache /
+/// simulate_io_cache call per config (the differential tests enforce it).
 ///
 /// A pooled runner executes the planned passes as a flat list of work units:
 /// each pass (each shape, for a kMulti pass) restricted to one node slice
@@ -371,12 +351,10 @@ class SweepRunner {
 
   /// Figure 8 points, one result per config, in config order.
   [[nodiscard]] std::vector<ComputeCacheResult> run_compute(
-      const std::vector<ComputeCacheConfig>& configs,
-      SweepMode mode = SweepMode::kGrouped) const;
+      const std::vector<ComputeCacheConfig>& configs) const;
   /// Figure 9 / §4.8 points, one result per config, in config order.
   [[nodiscard]] std::vector<IoNodeSimResult> run_io(
-      const std::vector<IoNodeSimConfig>& configs,
-      SweepMode mode = SweepMode::kGrouped) const;
+      const std::vector<IoNodeSimConfig>& configs) const;
 
   [[nodiscard]] std::size_t replay_ops() const noexcept {
     return log_.size();
@@ -389,9 +367,9 @@ class SweepRunner {
   }
 
   /// Total trace passes this runner has executed across every run_compute /
-  /// run_io call — the cost ledger the grouped-mode speedup claims rest on
-  /// (kGrouped must replay fewer passes than kPerConfig for the same
-  /// configs).  Thread-safe: sweeps may run concurrently from pool threads.
+  /// run_io call — the cost ledger the grouping claim rests on (fewer passes
+  /// than configs).  Thread-safe: sweeps may run concurrently from pool
+  /// threads.
   [[nodiscard]] std::size_t passes_executed() const;
 
  private:

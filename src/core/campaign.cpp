@@ -1,5 +1,6 @@
 #include "core/campaign.hpp"
 
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -84,9 +85,8 @@ std::vector<cache::IoNodeSimConfig> figure_io_configs(int io_nodes) {
 /// serial grouped SweepRunner covers each figure's whole buffer grid in one
 /// trace pass per (policy, topology) group: campaign workers already
 /// saturate the pool one study per thread, so the win here is fewer passes,
-/// not more threads.  The runner is mode-agnostic — the materialized path
-/// hands it an in-memory op vector, the streaming path a replay-op spill —
-/// and the two produce bit-identical curves.
+/// not more threads.  The runner may replay a record vector or a replay-op
+/// spill; the two produce bit-identical curves.
 void append_cache_figures(analysis::FigureSet& set,
                           const cache::SweepRunner& runner, int io_nodes) {
   const auto fracs = analysis::fraction_grid();
@@ -129,43 +129,27 @@ double AggregateStat::ci95_half_width() const noexcept {
   return util::ci95_half_width(summary);
 }
 
-StudySummary summarize_study(const std::string& label,
-                             const StudyConfig& config,
-                             const StudyOutput& output, bool with_figures) {
+StudySummary summarize_measurements(
+    const analysis::SessionStore& store,
+    const analysis::RequestSizeResult& request_sizes,
+    const trace::TraceHeader& header, const cache::SweepRunner* runner) {
   StudySummary s;
-  s.label = label;
-  s.seed = config.workload.seed;
-  s.scale = config.workload.scale;
-  s.trace_digest = output.raw.digest();
-  s.events_dispatched = output.events_dispatched;
-  s.records = output.records;
-  s.total_ops = output.total_ops;
-  s.sim_end = output.sim_end;
-
-  // The serial SessionStore constructor on purpose: campaign workers
-  // already saturate the pool one study per thread, so nesting the
-  // parallel builder would only add contention.
-  const analysis::SessionStore store(output.sorted);
   const auto concurrency = analysis::analyze_job_concurrency(store);
   s.idle_fraction = concurrency.idle_fraction;
   s.multiprogrammed_fraction = concurrency.multiprogrammed_fraction;
   s.single_node_job_fraction =
       analysis::analyze_node_counts(store).single_node_job_fraction;
-  const auto requests = analysis::analyze_request_sizes(output.sorted);
-  s.small_read_fraction = requests.small_read_fraction;
-  s.small_write_fraction = requests.small_write_fraction;
+  s.small_read_fraction = request_sizes.small_read_fraction;
+  s.small_write_fraction = request_sizes.small_write_fraction;
   s.temporary_fraction =
       analysis::analyze_file_population(store).temporary_fraction;
   s.mode0_fraction = analysis::analyze_mode_usage(store).mode0_fraction;
 
-  if (with_figures) {
-    s.figures = analysis::collect_trace_figures(
-        store, requests, output.raw.header.block_size);
-    const std::set<cache::SessionKey> read_only = store.read_only_sessions();
-    const cache::SweepRunner runner(output.sorted, read_only);
-    append_cache_figures(
-        s.figures, runner,
-        output.raw.header.io_nodes > 0 ? output.raw.header.io_nodes : 10);
+  if (runner != nullptr) {
+    s.figures = analysis::collect_trace_figures(store, request_sizes,
+                                                header.block_size);
+    append_cache_figures(s.figures, *runner,
+                         header.io_nodes > 0 ? header.io_nodes : 10);
   }
   return s;
 }
@@ -174,7 +158,18 @@ StudySummary summarize_streamed_study(const std::string& label,
                                       const StudyConfig& config,
                                       StreamedStudyOutput&& output,
                                       bool with_figures) {
-  StudySummary s;
+  // The accumulators already ran during the one streaming merge; everything
+  // below reads their finished state.
+  const analysis::SessionStore& store = output.sessions;
+  std::set<cache::SessionKey> read_only;  // borrowed by the runner
+  std::optional<cache::SweepRunner> runner;
+  if (with_figures) {
+    read_only = store.read_only_sessions();
+    runner.emplace(std::move(output.replay_ops), read_only);
+  }
+  StudySummary s = summarize_measurements(
+      store, output.request_sizes, output.header,
+      runner.has_value() ? &*runner : nullptr);
   s.label = label;
   s.seed = config.workload.seed;
   s.scale = config.workload.scale;
@@ -183,32 +178,6 @@ StudySummary summarize_streamed_study(const std::string& label,
   s.records = output.records;
   s.total_ops = output.total_ops;
   s.sim_end = output.sim_end;
-
-  // The accumulators already ran during the one streaming merge; everything
-  // below reads their finished state.  The session order is the serial
-  // builder's, so every derived statistic — and every figure byte — matches
-  // summarize_study on the materialized trace.
-  const analysis::SessionStore& store = output.sessions;
-  const auto concurrency = analysis::analyze_job_concurrency(store);
-  s.idle_fraction = concurrency.idle_fraction;
-  s.multiprogrammed_fraction = concurrency.multiprogrammed_fraction;
-  s.single_node_job_fraction =
-      analysis::analyze_node_counts(store).single_node_job_fraction;
-  s.small_read_fraction = output.request_sizes.small_read_fraction;
-  s.small_write_fraction = output.request_sizes.small_write_fraction;
-  s.temporary_fraction =
-      analysis::analyze_file_population(store).temporary_fraction;
-  s.mode0_fraction = analysis::analyze_mode_usage(store).mode0_fraction;
-
-  if (with_figures) {
-    s.figures = analysis::collect_trace_figures(store, output.request_sizes,
-                                                output.header.block_size);
-    const std::set<cache::SessionKey> read_only = store.read_only_sessions();
-    const cache::SweepRunner runner(std::move(output.replay_ops), read_only);
-    append_cache_figures(
-        s.figures, runner,
-        output.header.io_nodes > 0 ? output.header.io_nodes : 10);
-  }
   return s;
 }
 
@@ -245,21 +214,16 @@ CampaignResult CampaignRunner::run(
     const CampaignStudy& study = studies[i];
     // Distinct indices: workers never touch the same slot, and the output
     // order matches the input order whatever the schedule was.
-    if (options_.trace_mode == TraceMode::kStreaming) {
-      StreamOptions sopts;
-      sopts.spill_dir = options_.spill_dir;
-      sopts.collect_replay_ops = options_.collect_figures;
-      sopts.spill_budget_mb = options_.spill_budget_mb;
-      StreamedStudyOutput output = run_streamed_study(study.config, sopts);
-      result.studies[i] =
-          summarize_streamed_study(study.label, study.config,
-                                   std::move(output),
-                                   options_.collect_figures);
-    } else {
-      const StudyOutput output = run_study(study.config);
-      result.studies[i] = summarize_study(study.label, study.config, output,
-                                          options_.collect_figures);
+    StudyConfig config = study.config;
+    if (!options_.spill_dir.empty()) config.spill_dir = options_.spill_dir;
+    if (options_.spill_budget_mb >= 0) {
+      config.spill_budget_mb = options_.spill_budget_mb;
     }
+    StreamOptions sopts;
+    sopts.collect_replay_ops = options_.collect_figures;
+    result.studies[i] = summarize_streamed_study(
+        study.label, config, run_streamed_study(config, sopts),
+        options_.collect_figures);
     note_study_done(studies.size());
   };
   if (options_.threads == 1) {

@@ -20,6 +20,10 @@
 #include "util/stats.hpp"
 #include "util/thread_annotations.hpp"
 
+namespace charisma::cache {
+class SweepRunner;
+}  // namespace charisma::cache
+
 namespace charisma::core {
 
 /// One study in a campaign: a label for reports plus its full configuration.
@@ -83,18 +87,13 @@ struct CampaignOptions {
   /// Worker threads; 0 picks the hardware concurrency, 1 runs the studies
   /// inline on the calling thread (no pool).
   std::size_t threads = 0;
-  /// How each study hands its trace to the summarizer.  Streaming (the
-  /// default) keeps every worker's resident state O(merge window);
-  /// materialized is the in-memory reference path.  Summaries — digests and
-  /// figure curves included — are bit-identical between the two.
-  TraceMode trace_mode = TraceMode::kStreaming;
-  /// Spill directory for streaming-mode studies (see StreamOptions).
+  /// Spill directory override for every study; empty defers to each
+  /// study's StudyConfig::spill_dir.
   std::string spill_dir{};
-  /// Memory-tier budget override in MiB for streaming-mode studies;
-  /// negative defers to each study's StudyConfig::spill_budget_mb.  Note
-  /// the pool is per *study*: campaign workers each hold their own budget,
-  /// so campaign RSS scales with `threads` × the budget when studies
-  /// overflow it.
+  /// Memory-tier budget override in MiB for every study; negative defers to
+  /// each study's StudyConfig::spill_budget_mb.  Note the pool is per
+  /// *study*: campaign workers each hold their own budget, so campaign RSS
+  /// scales with `threads` × the budget when studies overflow it.
   std::int64_t spill_budget_mb = -1;
   /// Sample the per-figure curves for every study and fold envelope bands.
   /// Off saves the analyzer + cache-replay passes for pure-throughput runs.
@@ -108,18 +107,22 @@ struct CampaignOptions {
   std::function<void(std::size_t, std::size_t)> on_progress = nullptr;
 };
 
-/// Builds a StudySummary from a finished study (exposed for tests and for
-/// callers that already ran the study themselves).  `with_figures` also
-/// samples the per-figure curves (Figures 4-9, Tables 1-3).
-[[nodiscard]] StudySummary summarize_study(const std::string& label,
-                                           const StudyConfig& config,
-                                           const StudyOutput& output,
-                                           bool with_figures = true);
+/// The measured half of a StudySummary, from a finished study's analysis
+/// inputs: the headline statistics from `store` and `request_sizes`, plus —
+/// given a `runner` over the study's replay ops — the per-figure curves
+/// (Figures 4-9, Tables 1-3).  Identity and volume counters are left for the
+/// caller to stamp.  summarize_streamed_study and the tests' materialized
+/// oracle both build on it, so they differ only in where the inputs come
+/// from.
+[[nodiscard]] StudySummary summarize_measurements(
+    const analysis::SessionStore& store,
+    const analysis::RequestSizeResult& request_sizes,
+    const trace::TraceHeader& header, const cache::SweepRunner* runner);
 
-/// The streaming twin of summarize_study: reads the accumulators' finished
-/// state instead of re-passing a materialized trace, and consumes the
-/// output's replay-op spill for the cache figures.  Produces a bit-identical
-/// StudySummary for the same study configuration.
+/// Builds a StudySummary from a finished streamed study: reads the
+/// accumulators' finished state and consumes the output's replay-op spill
+/// for the cache figures.  `with_figures` also samples the per-figure
+/// curves.
 [[nodiscard]] StudySummary summarize_streamed_study(
     const std::string& label, const StudyConfig& config,
     StreamedStudyOutput&& output, bool with_figures = true);

@@ -4,12 +4,10 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <vector>
 
-#include "util/check.hpp"
 #include "util/stopwatch.hpp"
 
 namespace charisma::core {
@@ -30,59 +28,23 @@ std::string spill_file_path(const std::string& dir, const char* tag) {
 
 StreamedStudyOutput run_streamed_study(const StudyConfig& config,
                                        const StreamOptions& options) {
-  // The rig mirrors run_study exactly — same construction order, same rng
-  // derivation — so both modes drive the identical simulation.
-  sim::Engine engine;
-  util::Rng machine_rng(config.workload.seed ^ 0xC10CC10CULL);
-  ipsc::Machine machine(engine, config.machine, machine_rng);
-  cfs::Runtime runtime(machine, config.runtime);
-  trace::Collector collector(machine, config.collector);
+  StudyRig rig(config);
+  trace::Collector& collector = rig.collector();
   // The spill header is written up front, so the annotation run_study
   // applies after the fact must be final before the first block lands.
   collector.annotate(config.workload.seed, kStudyTraceLabel);
   // One shared memory-tier pool for both spills (trace blocks and replay-op
   // chunks): reservations are never returned, so peak RSS is bounded by the
   // streaming window plus this budget no matter how the two spills split it.
-  const std::int64_t budget_mb = options.spill_budget_mb >= 0
-                                     ? options.spill_budget_mb
-                                     : config.spill_budget_mb;
-  const std::string& spill_dir =
-      !options.spill_dir.empty() ? options.spill_dir : config.spill_dir;
-  trace::SpillBudget budget(budget_mb * (std::int64_t{1} << 20));
+  trace::SpillBudget budget(config.spill_budget_mb * (std::int64_t{1} << 20));
   trace::SpillWriterOptions wopts;
   wopts.budget = &budget;
   wopts.async = options.async_spill;
-  collector.start_spilling(trace::SpillTarget::anonymous_in(spill_dir),
+  collector.start_spilling(trace::SpillTarget::anonymous_in(config.spill_dir),
                            wopts);
 
   StreamedStudyOutput out;
-  // Same source dispatch as run_study; the seam sits exactly where the
-  // legacy pipeline called generate().
-  std::unique_ptr<workload::Source> source;
-  std::optional<workload::Driver> driver;
-  if (config.legacy_driver) {
-    CHECK(config.source.method == "synthetic",
-          "legacy_driver is the synthetic reference path; got source '",
-          workload::to_string(config.source), "'");
-    out.workload = workload::generate(config.workload);
-    driver.emplace(machine, runtime, collector, out.workload);
-  } else {
-    source = workload::load_source(config.source, config.workload);
-    out.workload = source->workload();
-    driver.emplace(machine, runtime, collector, *source);
-  }
-  driver->run();
-
-  out.jobs = driver->results();
-  out.records = collector.records_seen();
-  out.collector_messages = collector.messages_to_collector();
-  out.trace_bytes = collector.trace_bytes_written();
-  out.total_ops = driver->total_ops();
-  out.events_dispatched = engine.dispatched_events();
-  out.sim_end = engine.now();
-  for (int d = 0; d < machine.io_nodes(); ++d) {
-    out.user_bytes_moved += machine.disk(d).bytes_moved();
-  }
+  rig.run(out);
 
   const trace::SpilledTrace spilled = collector.take_spilled();
   out.header = spilled.header;
@@ -92,24 +54,20 @@ StreamedStudyOutput run_streamed_study(const StudyConfig& config,
 
   // One merge pass feeds every consumer; per-sink state is bounded
   // (sessions, histograms, a timeline, one op chunk), never the trace.
-  analysis::SessionAccumulator sessions(options.track_coverage);
-  std::optional<analysis::RequestSizeAccumulator> request_sizes;
-  std::optional<analysis::IoRateAccumulator> io_rate;
+  analysis::SessionAccumulator sessions;
+  analysis::RequestSizeAccumulator request_sizes;
+  analysis::IoRateAccumulator io_rate(out.header.trace_start,
+                                      out.header.trace_end);
   std::optional<cache::ReplayOpSink> ops;
-  std::vector<trace::RecordSink*> sinks{&sessions};
-  if (options.collect_rate_figures) {
-    request_sizes.emplace();
-    io_rate.emplace(out.header.trace_start, out.header.trace_end);
-    sinks.push_back(&*request_sizes);
-    sinks.push_back(&*io_rate);
-  }
+  std::vector<trace::RecordSink*> sinks{&sessions, &request_sizes, &io_rate};
   if (options.collect_replay_ops) {
     cache::ReplayOpSinkOptions oopts;
     oopts.budget = &budget;
-    oopts.dir = spill_dir;
+    oopts.dir = config.spill_dir;
     ops.emplace(std::move(oopts));
     sinks.push_back(&*ops);
   }
+  sinks.insert(sinks.end(), options.sinks.begin(), options.sinks.end());
   trace::StreamMergeStats merge_stats;
   trace::StreamMergeOptions mopts;
   mopts.prefetch = options.prefetch;
@@ -117,8 +75,8 @@ StreamedStudyOutput run_streamed_study(const StudyConfig& config,
   out.streamed_records = trace::stream_postprocess(spilled, sinks, mopts);
 
   out.sessions = sessions.take(out.header);
-  if (request_sizes.has_value()) out.request_sizes = request_sizes->finish();
-  if (io_rate.has_value()) out.io_rate = io_rate->finish();
+  out.request_sizes = request_sizes.finish();
+  out.io_rate = io_rate.finish();
   if (ops.has_value()) out.replay_ops = ops->finish();
 
   const trace::SpillWriterStats& wstats = spilled.write_stats();
@@ -137,7 +95,7 @@ StreamedStudyOutput run_streamed_study(const StudyConfig& config,
   out.spill.trace_blocks_on_disk = wstats.disk_blocks;
   out.spill.ops_chunks_in_memory = out.replay_ops.mem_chunks().size();
   out.spill.ops_chunks_on_disk = out.replay_ops.disk_chunks();
-  out.spill.spill_budget_mb = budget_mb;
+  out.spill.spill_budget_mb = config.spill_budget_mb;
   return out;  // `spilled` unlinks the raw-trace spill here
 }
 

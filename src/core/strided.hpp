@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <tuple>
 
 #include "trace/postprocess.hpp"
 
@@ -46,7 +48,39 @@ struct StridedStats {
   [[nodiscard]] std::string render() const;
 };
 
-/// Greedy maximal-run rewriting of every (job, file, node) data stream.
+/// Greedy maximal-run rewriting of every (job, file, node, direction) data
+/// stream, as a sink: push the postprocessed records in order, then
+/// finish().  State is one open run per stream, never the trace.
+class StridedRewriter final : public trace::RecordSink {
+ public:
+  StridedRewriter(int io_nodes, std::int64_t block_size)
+      : io_nodes_(io_nodes), block_size_(block_size) {}
+
+  void on_record(const trace::Record& r) override;
+  /// Closes every open run and returns the totals.  Call once.
+  [[nodiscard]] StridedStats finish();
+
+ private:
+  struct Run {
+    bool active = false;
+    std::int64_t start_offset = 0;
+    std::int64_t record = 0;    // bytes per element
+    std::int64_t interval = 0;  // valid once interval_known
+    bool interval_known = false;
+    std::int64_t count = 0;
+    std::int64_t last_end = 0;
+  };
+  /// Emits `run` as one strided request and resets it.
+  void flush(Run& run);
+
+  int io_nodes_;
+  std::int64_t block_size_;
+  StridedStats out_;
+  std::map<std::tuple<cfs::JobId, cfs::FileId, cfs::NodeId, bool>, Run>
+      streams_;
+};
+
+/// Adapter over StridedRewriter for a materialized trace.
 [[nodiscard]] StridedStats rewrite_strided(const trace::SortedTrace& trace,
                                            int io_nodes,
                                            std::int64_t block_size);

@@ -8,52 +8,29 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <vector>
 
 #include "cfs/runtime.hpp"
 #include "ipsc/machine.hpp"
 #include "sim/engine.hpp"
 #include "trace/collector.hpp"
 #include "trace/postprocess.hpp"
+#include "util/rng.hpp"
 #include "workload/driver.hpp"
 #include "workload/generator.hpp"
 #include "workload/source.hpp"
 
 namespace charisma::core {
 
-/// The label every study stamps into its trace header.  Shared between the
-/// materialized and streaming runners: the spill header is written up front,
-/// so the label must be identical (and final) in both modes for the trace
+/// The label every study stamps into its trace header.  Shared between
+/// run_study and the streaming runner: the spill header is written up
+/// front, so the label must be identical (and final) in both for the trace
 /// digests to match.  Also shared across workload sources — the digest
 /// folds the label, and keeping it source-independent is what lets a
 /// replayed chwl export reproduce its original study's digest bit for bit
 /// (the round-trip test pins this).
 inline constexpr const char* kStudyTraceLabel =
     "charisma synthetic NAS workload";
-
-/// How the pipeline hands the trace to its consumers.
-enum class TraceMode : std::uint8_t {
-  /// Default: spill raw trace blocks to disk during the run, merge them once
-  /// in postprocessed order, and push every record through bounded-state
-  /// sinks (sessions, request sizes, I/O rate, replay ops).  Peak RSS is
-  /// O(merge window), not O(trace length).
-  kStreaming,
-  /// Reference: materialize the whole trace in memory (TraceFile +
-  /// SortedTrace) and run each consumer as its own pass.  Kept for
-  /// differential testing and ad-hoc exploration of the record vector.
-  kMaterialized,
-};
-
-[[nodiscard]] constexpr const char* to_string(TraceMode m) noexcept {
-  switch (m) {
-    case TraceMode::kStreaming: return "streaming";
-    case TraceMode::kMaterialized: return "materialized";
-  }
-  return "?";
-}
-
-/// "streaming" | "materialized" -> TraceMode; CHECK-fails on anything else.
-[[nodiscard]] TraceMode parse_trace_mode(const std::string& name);
 
 /// Default StudyConfig::spill_budget_mb: sized so studies up to scale 1.0
 /// (≈310 MB of trace payload plus ≈25 MB of compact replay-op chunks) stay
@@ -69,31 +46,28 @@ struct StudyConfig {
   /// Which workload source feeds the Driver: the synthetic reconstruction
   /// (default), a chwl replay log ("replay:<path>"), or the Daly
   /// checkpoint-restart archetype ("checkpoint").  Every analyzer, figure,
-  /// cache sweep, and trace mode runs unchanged over any source.
+  /// and cache sweep runs unchanged over any source.
   workload::SourceSpec source;
-  /// Reference feed for the source differential suite: drive the synthetic
-  /// workload through the pre-Source materialized-script Driver path
-  /// instead of the seam.  Only valid with the synthetic method (CHECK).
-  bool legacy_driver = false;
-  /// Streaming mode's memory-tier budget (one pool shared by trace blocks,
-  /// replay-op chunks, and — when it still fits — the sweeps' decoded flat
-  /// op array, which lets small studies replay with zero per-pass decode):
-  /// spilled data stays resident up to this many MiB, only the overflow
-  /// hits disk.  The default keeps every scale ≤ 1.0 study's spilled
-  /// payload in memory; 0 forces the all-disk pre-tier behavior.  Peak RSS
-  /// is bounded by the streaming window plus this budget.
+  /// run_streamed_study's memory-tier budget (one pool shared by trace
+  /// blocks, replay-op chunks, and — when it still fits — the sweeps'
+  /// decoded flat op array, which lets small studies replay with zero
+  /// per-pass decode): spilled data stays resident up to this many MiB,
+  /// only the overflow hits disk.  The default keeps every scale ≤ 1.0
+  /// study's spilled payload in memory; 0 forces the all-disk pre-tier
+  /// behavior.  Peak RSS is bounded by the streaming window plus this
+  /// budget.
   std::int64_t spill_budget_mb = kDefaultSpillBudgetMb;
-  /// Streaming mode's spill directory ("" = $TMPDIR, then /tmp).
+  /// run_streamed_study's spill directory ("" = $TMPDIR, then /tmp).
   std::string spill_dir;
 };
 
-struct StudyOutput {
-  trace::TraceFile raw;
-  trace::SortedTrace sorted;
+/// What every study reports besides its trace: the jobs, the workload, and
+/// the perturbation accounting (§3.1 / ablation C).  Both study runners fill
+/// it through the one StudyRig.
+struct StudyRun {
   std::vector<workload::JobResult> jobs;
   workload::GeneratedWorkload workload;
 
-  // Perturbation accounting (§3.1 / ablation C).
   std::uint64_t records = 0;
   std::uint64_t collector_messages = 0;
   std::int64_t trace_bytes = 0;
@@ -101,6 +75,38 @@ struct StudyOutput {
   std::uint64_t total_ops = 0;
   std::uint64_t events_dispatched = 0;  // engine events, for events/sec
   util::MicroSec sim_end = 0;
+};
+
+/// The simulation both study runners drive: engine, machine, CFS runtime and
+/// trace collector, built in one fixed order with the machine's clock skews
+/// drawn from a seed independent of the workload draw.  A runner may set the
+/// collector up (annotate it, start spilling) before run() and takes the
+/// trace from it afterwards.
+class StudyRig {
+ public:
+  explicit StudyRig(const StudyConfig& config);
+
+  [[nodiscard]] trace::Collector& collector() noexcept { return collector_; }
+
+  /// Loads the configured workload source, drives it to completion, and
+  /// fills `out` from the driver, the engine, the collector and the disks.
+  void run(StudyRun& out);
+
+ private:
+  const StudyConfig& config_;
+  sim::Engine engine_;
+  util::Rng machine_rng_;
+  ipsc::Machine machine_;
+  cfs::Runtime runtime_;
+  trace::Collector collector_;
+};
+
+/// The materialized study: the whole trace in memory, raw and postprocessed.
+/// The figure benches, the examples and the tests read its record vector;
+/// every production tool streams instead (core/stream_study.hpp).
+struct StudyOutput : StudyRun {
+  trace::TraceFile raw;
+  trace::SortedTrace sorted;
 };
 
 /// Runs the full study.  Deterministic in `config`.

@@ -9,19 +9,6 @@ namespace charisma::workload {
 using util::MicroSec;
 
 Driver::Driver(ipsc::Machine& machine, cfs::Runtime& runtime,
-               trace::Collector& collector,
-               const GeneratedWorkload& workload)
-    : machine_(&machine),
-      runtime_(&runtime),
-      collector_(&collector),
-      workload_(&workload),
-      allocator_(net::Hypercube::dimension_for(machine.compute_nodes())) {
-  util::check((std::int32_t{1} << allocator_.dimension()) ==
-                  machine.compute_nodes(),
-              "driver requires a power-of-two machine");
-}
-
-Driver::Driver(ipsc::Machine& machine, cfs::Runtime& runtime,
                trace::Collector& collector, Source& source)
     : machine_(&machine),
       runtime_(&runtime),
@@ -98,13 +85,7 @@ void Driver::start_job(std::size_t spec_index) {
   run->spec = &spec;
   run->spec_index = spec_index;
   run->base = base;
-  JobScripts scripts;  // legacy mode only; sources hold their own
-  if (source_ != nullptr) {
-    run->paths = source_->start_job(spec_index);
-  } else {
-    scripts = build_scripts(spec, *workload_);
-    run->paths = std::move(scripts.paths);
-  }
+  run->paths = source_->start_job(spec_index);
   run->result_index = results_.size();
 
   JobResult result;
@@ -129,9 +110,6 @@ void Driver::start_job(std::size_t spec_index) {
     nr.raw = std::make_unique<cfs::Client>(*runtime_, base + rank);
     nr.client = std::make_unique<trace::InstrumentedClient>(
         *nr.raw, *collector_, spec.traced);
-    if (source_ == nullptr) {
-      nr.ops = std::move(scripts.nodes[static_cast<std::size_t>(rank)].ops);
-    }
     // SPMD startup skew: ranks come up a few hundred microseconds apart.
     machine_->engine().schedule_in(200 + 50 * rank,
                                    [this, run, rank] { step(run, rank); });
@@ -140,9 +118,6 @@ void Driver::start_job(std::size_t spec_index) {
 
 Op* Driver::fetch_op(JobRun* run, std::int32_t rank) {
   auto& nr = run->nodes[static_cast<std::size_t>(rank)];
-  if (source_ == nullptr) {
-    return nr.pc < nr.ops.size() ? &nr.ops[nr.pc] : nullptr;
-  }
   if (nr.ended) return nullptr;
   if (!nr.has_current) {
     nr.current = source_->next(run->spec_index, rank);
@@ -153,14 +128,6 @@ Op* Driver::fetch_op(JobRun* run, std::int32_t rank) {
     nr.has_current = true;
   }
   return &nr.current;
-}
-
-void Driver::consume_op(NodeRun& nr) {
-  if (source_ == nullptr) {
-    ++nr.pc;
-  } else {
-    nr.has_current = false;
-  }
 }
 
 void Driver::step(JobRun* run, std::int32_t rank) {
@@ -310,10 +277,10 @@ void Driver::finish_job(JobRun* run) {
   end_rec.aux = static_cast<std::int64_t>(run->nodes.size());
   collector_->append_job_event(end_rec);
 
-  if (source_ != nullptr) source_->end_job(run->spec_index);
+  source_->end_job(run->spec_index);
   allocator_.release(run->base, static_cast<std::int32_t>(run->nodes.size()));
   // The shell stays alive in runs_ (step callbacks may hold the pointer),
-  // but the per-node clients, scripts, and barrier state are dead weight
+  // but the per-node clients and barrier state are dead weight
   // from here on.  The caller (step) touches nothing of run's after this.
   run->nodes.clear();
   run->nodes.shrink_to_fit();

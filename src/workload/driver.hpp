@@ -8,13 +8,8 @@
 //   * emit JOB_START / JOB_END records through the collector's separate
 //     job-logging channel, for every job, traced or not (paper §3.1).
 //
-// Two op feeds share one step loop:
-//   * Source mode (the default; any registered workload::Source) pulls each
-//     rank's next op on demand — next(job, rank) until OpKind::kEnd;
-//   * legacy mode (a GeneratedWorkload) materializes each job's scripts at
-//     start via build_scripts(), exactly the pre-Source pipeline.  It is
-//     kept as the differential reference: the source differential suite
-//     holds the synthetic Source bit-identical to it, digest and all.
+// Ops come from a workload::Source (any registered method): each rank pulls
+// its next op on demand — next(job, rank) until OpKind::kEnd.
 #pragma once
 
 #include <cstdint>
@@ -45,11 +40,7 @@ struct JobResult {
 
 class Driver {
  public:
-  /// Legacy reference feed: scripts compiled by build_scripts() at job
-  /// start.  `workload` must outlive the driver.
-  Driver(ipsc::Machine& machine, cfs::Runtime& runtime,
-         trace::Collector& collector, const GeneratedWorkload& workload);
-  /// Source feed: ops pulled through the pluggable seam.  `source` (and its
+  /// Ops are pulled through the pluggable seam.  `source` (and its
   /// workload()) must outlive the driver.
   Driver(ipsc::Machine& machine, cfs::Runtime& runtime,
          trace::Collector& collector, Source& source);
@@ -72,11 +63,8 @@ class Driver {
   struct NodeRun {
     std::unique_ptr<cfs::Client> raw;
     std::unique_ptr<trace::InstrumentedClient> client;
-    // Legacy mode: the rank's whole script and a program counter.
-    std::vector<Op> ops;
-    std::size_t pc = 0;
-    // Source mode: the one pulled-but-unconsumed op (think times are
-    // consumed by zeroing the held copy, retries re-issue it).
+    // The one pulled-but-unconsumed op (think times are consumed by zeroing
+    // the held copy, retries re-issue it).
     Op current;
     bool has_current = false;
     bool ended = false;
@@ -112,15 +100,15 @@ class Driver {
   /// The rank's current op, pulling from the source when needed; nullptr
   /// once the rank's script is exhausted.
   [[nodiscard]] Op* fetch_op(JobRun* run, std::int32_t rank);
-  /// Marks the rank's current op consumed (legacy: pc++; source: drop the
-  /// held op so the next fetch pulls).
-  void consume_op(NodeRun& nr);
+  /// Marks the rank's current op consumed: drops the held op so the next
+  /// fetch pulls.
+  static void consume_op(NodeRun& nr) { nr.has_current = false; }
 
   ipsc::Machine* machine_;
   cfs::Runtime* runtime_;
   trace::Collector* collector_;
   const GeneratedWorkload* workload_;
-  Source* source_ = nullptr;  // null in legacy mode
+  Source* source_;
   SubcubeAllocator allocator_;
   std::deque<std::size_t> pending_;  // spec indices waiting for nodes
   std::vector<JobResult> results_;
@@ -128,7 +116,7 @@ class Driver {
   /// engine's step callbacks can capture a raw JobRun* — a shared_ptr per
   /// event costs an atomic refcount round-trip on the hottest path in the
   /// simulator.  finish_job() releases a finished run's bulk (node state,
-  /// scripts) and keeps only the empty shell.
+  /// paths) and keeps only the empty shell.
   std::vector<std::unique_ptr<JobRun>> runs_;
   std::uint64_t ops_ = 0;
   std::uint64_t retries_ = 0;

@@ -10,9 +10,8 @@ namespace charisma::workload {
 
 namespace {
 
-/// Method "synthetic": the 1993 NAS reconstruction, exactly the legacy
-/// generate() + lazy build_scripts() pair behind the seam — the digest
-/// differential holds it bit-identical to the legacy Driver path.
+/// Method "synthetic": the 1993 NAS reconstruction, generate() plus lazy
+/// build_scripts() behind the seam; the pinned study digests hold it fixed.
 class SyntheticSource final : public ScriptedSource {
  public:
   explicit SyntheticSource(const WorkloadConfig& config) {

@@ -16,6 +16,7 @@
 #include "analysis/paper.hpp"
 #include "cache/simulators.hpp"
 #include "core/campaign.hpp"
+#include "support/materialized_summary.hpp"
 
 namespace charisma::analysis {
 namespace {
@@ -36,7 +37,7 @@ struct Fixture {
 
   Fixture()
       : output(core::run_study_at_scale(kScale, kSeed)),
-        summary(core::summarize_study("fidelity", fidelity_config(), output)),
+        summary(oracle::summarize_study("fidelity", fidelity_config(), output)),
         store(output.sorted),
         compute(cache::simulate_compute_cache(output.sorted,
                                               store.read_only_sessions(),

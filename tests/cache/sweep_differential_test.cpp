@@ -1,13 +1,15 @@
-// Sweep-mode differential suite: for a real (scale-0.05) generated trace,
-// every fig 8 / fig 9 / §4.8 configuration — plus the IP-aware ablation —
-// must produce bit-identical results between SweepMode::kPerConfig (the
-// reference: one full replay per point) and SweepMode::kGrouped (stack
-// simulation for LRU, batched replay for the rest), for the serial runner
-// and for pools of 1 / 2 / 3 / 4 / 8 threads (a pooled runner splits each
-// pass into I/O-node slices; 3 and 4 do not divide the 10 I/O nodes).  "Bit-identical" means every counter
-// and every derived double, including the full per-job hit-rate CDF.
+// Sweep differential suite: for a real (scale-0.05) generated trace, every
+// fig 8 / fig 9 / §4.8 configuration — plus the IP-aware ablation — must
+// produce bit-identical results between the per-config reference (one
+// simulate_compute_cache / simulate_io_cache call, i.e. one full replay, per
+// point) and SweepRunner's grouped passes (stack simulation for LRU, batched
+// replay for the rest), for the serial runner and for pools of
+// 1 / 2 / 3 / 4 / 8 threads (a pooled runner splits each pass into I/O-node
+// slices; 3 and 4 do not divide the 10 I/O nodes).  "Bit-identical" means
+// every counter and every derived double, including the full per-job
+// hit-rate CDF.
 //
-// This is the contract that lets the grouped path be the default everywhere
+// This is the contract that lets the grouped runner be the only sweep path
 // (figures, benches, the perf harness) without a fidelity re-audit: same
 // bits in, same bits out, only faster.
 #include <gtest/gtest.h>
@@ -26,7 +28,8 @@ constexpr double kScale = 0.05;
 constexpr std::uint64_t kSeed = 42;
 
 /// One real study shared by every test in the binary; the reference results
-/// are computed once (serial, per-config) and reused by each comparison.
+/// are computed once (one direct simulation per config) and reused by each
+/// comparison.
 struct Fixture {
   core::StudyOutput output;
   std::set<SessionKey> read_only;
@@ -40,10 +43,14 @@ struct Fixture {
     read_only = store.read_only_sessions();
     compute_configs = make_compute_configs();
     io_configs = make_io_configs();
-    const SweepRunner serial(output.sorted, read_only);
-    compute_reference =
-        serial.run_compute(compute_configs, SweepMode::kPerConfig);
-    io_reference = serial.run_io(io_configs, SweepMode::kPerConfig);
+    for (const ComputeCacheConfig& config : compute_configs) {
+      compute_reference.push_back(
+          simulate_compute_cache(output.sorted, read_only, config));
+    }
+    for (const IoNodeSimConfig& config : io_configs) {
+      io_reference.push_back(
+          simulate_io_cache(output.sorted, read_only, config));
+    }
   }
 
   /// The fig 8 grid the perf harness sweeps, plus a duplicate point (the
@@ -135,13 +142,12 @@ void expect_identical(const IoNodeSimResult& a, const IoNodeSimResult& b,
 
 void expect_matches_reference(const SweepRunner& runner) {
   const Fixture& f = fixture();
-  const auto compute = runner.run_compute(f.compute_configs,
-                                          SweepMode::kGrouped);
+  const auto compute = runner.run_compute(f.compute_configs);
   ASSERT_EQ(compute.size(), f.compute_configs.size());
   for (std::size_t i = 0; i < compute.size(); ++i) {
     expect_identical(f.compute_reference[i], compute[i], i);
   }
-  const auto io = runner.run_io(f.io_configs, SweepMode::kGrouped);
+  const auto io = runner.run_io(f.io_configs);
   ASSERT_EQ(io.size(), f.io_configs.size());
   for (std::size_t i = 0; i < io.size(); ++i) {
     expect_identical(f.io_reference[i], io[i], i);
@@ -161,23 +167,6 @@ TEST(SweepDifferential, GroupedMatchesPerConfigAcrossThreadCounts) {
     util::ThreadPool pool(threads);
     const SweepRunner runner(f.output.sorted, f.read_only, pool);
     expect_matches_reference(runner);
-  }
-}
-
-TEST(SweepDifferential, PerConfigModeIsAlsoThreadCountInvariant) {
-  // The reference mode itself must not depend on the pool either, or the
-  // differential baseline would be ill-defined.
-  const Fixture& f = fixture();
-  util::ThreadPool pool(8);
-  const SweepRunner runner(f.output.sorted, f.read_only, pool);
-  const auto compute = runner.run_compute(f.compute_configs,
-                                          SweepMode::kPerConfig);
-  for (std::size_t i = 0; i < compute.size(); ++i) {
-    expect_identical(f.compute_reference[i], compute[i], i);
-  }
-  const auto io = runner.run_io(f.io_configs, SweepMode::kPerConfig);
-  for (std::size_t i = 0; i < io.size(); ++i) {
-    expect_identical(f.io_reference[i], io[i], i);
   }
 }
 

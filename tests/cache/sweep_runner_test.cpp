@@ -149,21 +149,21 @@ TEST(SweepRunner, AgreesWithTheDirectSimulators) {
 }
 
 TEST(SweepRunner, GroupedModeMatchesPerConfigMode) {
+  // The serial runner's grouped passes against one direct (per-config)
+  // simulation per point.
   const auto trace = mixed_trace();
   const auto ro = read_only_for(trace);
   const SweepRunner runner(trace, ro);  // serial: no pool needed
 
   const auto cc = compute_points();
-  const auto compute_ref = runner.run_compute(cc, SweepMode::kPerConfig);
-  const auto compute_grp = runner.run_compute(cc, SweepMode::kGrouped);
+  const auto compute_grp = runner.run_compute(cc);
   for (std::size_t i = 0; i < cc.size(); ++i) {
-    expect_same(compute_ref[i], compute_grp[i]);
+    expect_same(simulate_compute_cache(trace, ro, cc[i]), compute_grp[i]);
   }
   const auto io = io_points();
-  const auto io_ref = runner.run_io(io, SweepMode::kPerConfig);
-  const auto io_grp = runner.run_io(io, SweepMode::kGrouped);
+  const auto io_grp = runner.run_io(io);
   for (std::size_t i = 0; i < io.size(); ++i) {
-    expect_same(io_ref[i], io_grp[i]);
+    expect_same(simulate_io_cache(trace, ro, io[i]), io_grp[i]);
   }
 }
 
@@ -224,8 +224,8 @@ TEST(SweepRunner, SerialRunnerMatchesPooledRunner) {
 }
 
 TEST(SweepRunner, PassesExecutedLedgerMatchesThePlan) {
-  // The grouped-mode speedup claim is "fewer trace passes for the same
-  // results"; passes_executed() is the ledger that makes it checkable.
+  // The grouping claim is "fewer trace passes for the same results";
+  // passes_executed() is the ledger that makes it checkable.
   const auto trace = mixed_trace();
   const auto ro = read_only_for(trace);
   const auto cc = compute_points();
@@ -233,24 +233,19 @@ TEST(SweepRunner, PassesExecutedLedgerMatchesThePlan) {
 
   const SweepRunner grouped(trace, ro);
   EXPECT_EQ(grouped.passes_executed(), 0u);
-  (void)grouped.run_compute(cc, SweepMode::kGrouped);
+  (void)grouped.run_compute(cc);
   EXPECT_EQ(grouped.passes_executed(), plan_compute_sweep(cc).passes());
-  (void)grouped.run_io(io, SweepMode::kGrouped);
+  (void)grouped.run_io(io);
   EXPECT_EQ(grouped.passes_executed(),
             plan_compute_sweep(cc).passes() + plan_io_sweep(io).passes());
-
-  // Per-config mode replays once per config — strictly more passes here.
-  const SweepRunner per_config(trace, ro);
-  (void)per_config.run_compute(cc, SweepMode::kPerConfig);
-  (void)per_config.run_io(io, SweepMode::kPerConfig);
-  EXPECT_EQ(per_config.passes_executed(), cc.size() + io.size());
-  EXPECT_GT(per_config.passes_executed(), grouped.passes_executed());
+  // A per-config replay would take one pass per config — strictly more.
+  EXPECT_LT(grouped.passes_executed(), cc.size() + io.size());
 
   // The ledger is schedule-independent: a pooled runner counts the same.
   util::ThreadPool pool(4);
   const SweepRunner pooled(trace, ro, pool);
-  (void)pooled.run_compute(cc, SweepMode::kGrouped);
-  (void)pooled.run_io(io, SweepMode::kGrouped);
+  (void)pooled.run_compute(cc);
+  (void)pooled.run_io(io);
   EXPECT_EQ(pooled.passes_executed(), grouped.passes_executed());
 }
 

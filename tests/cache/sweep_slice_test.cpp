@@ -140,10 +140,14 @@ const Reference& reference() {
   static const Reference ref = [] {
     const trace::SortedTrace trace = sorted_trace();
     const std::set<SessionKey> ro = read_only();
-    const SweepRunner serial(trace, ro);
-    return Reference{
-        serial.run_compute(compute_configs(), SweepMode::kPerConfig),
-        serial.run_io(io_configs(), SweepMode::kPerConfig)};
+    Reference ref;
+    for (const ComputeCacheConfig& config : compute_configs()) {
+      ref.compute.push_back(simulate_compute_cache(trace, ro, config));
+    }
+    for (const IoNodeSimConfig& config : io_configs()) {
+      ref.io.push_back(simulate_io_cache(trace, ro, config));
+    }
+    return ref;
   }();
   return ref;
 }

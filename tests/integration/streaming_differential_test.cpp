@@ -1,8 +1,10 @@
-// Differential: TraceMode::kStreaming must be *bit-identical* to the
-// materialized reference path — same digest, same statistics, same figure
-// curves, same exported TSV bytes — at the pinned scale-0.2/seed-42
-// configuration and on a degenerate zero-record trace.  The streaming mode
-// is the default, so any drift here is a correctness bug, not a perf note.
+// Differential: the streaming pipeline (run_streamed_study +
+// summarize_streamed_study) must be *bit-identical* to the materialized
+// oracle (run_study + support/materialized_summary.hpp) — same digest, same
+// statistics, same figure curves, same exported TSV bytes, same strided
+// rewrite — at the pinned scale-0.2/seed-42 configuration and on a
+// degenerate zero-record trace.  Streaming is the only production pipeline,
+// so any drift here is a correctness bug, not a perf note.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,9 +21,12 @@
 #include "core/campaign.hpp"
 #include "core/export.hpp"
 #include "core/stream_study.hpp"
+#include "core/strided.hpp"
 #include "core/study.hpp"
+#include "support/materialized_summary.hpp"
 #include "trace/postprocess.hpp"
 #include "trace/spill.hpp"
+#include "util/units.hpp"
 
 namespace charisma {
 namespace {
@@ -39,19 +44,25 @@ struct Fixture {
   std::uint64_t str_records = 0;
   analysis::IoRateResult str_io_rate;
   core::StudySummary str_summary;
+  core::StridedStats str_strided;
 
   Fixture() {
     config.workload.scale = 0.2;
     config.workload.seed = 42;
-    core::StreamedStudyOutput s = core::run_streamed_study(config);
+    // A caller-owned sink rides the same merge as the study's own.
+    core::StridedRewriter strided(config.machine.io_nodes, util::kBlockSize);
+    core::StreamOptions sopts;
+    sopts.sinks.push_back(&strided);
+    core::StreamedStudyOutput s = core::run_streamed_study(config, sopts);
     str_header = s.header;
     str_digest = s.trace_digest;
     str_records = s.streamed_records;
     str_io_rate = s.io_rate;
+    str_strided = strided.finish();
     str_summary = core::summarize_streamed_study("scale0.2_seed42", config,
                                                  std::move(s));
     mat = core::run_study(config);
-    mat_summary = core::summarize_study("scale0.2_seed42", config, mat);
+    mat_summary = oracle::summarize_study("scale0.2_seed42", config, mat);
   }
 };
 
@@ -125,6 +136,21 @@ TEST(StreamingDifferential, IoRateTimelineExactlyEqual) {
   EXPECT_EQ(str_rate.quiet_fraction, mat_rate.quiet_fraction);
 }
 
+TEST(StreamingDifferential, StridedSinkMatchesTheRecordVectorRewrite) {
+  const auto& f = fixture();
+  const core::StridedStats want = core::rewrite_strided(
+      f.mat.sorted, f.mat.raw.header.io_nodes, f.mat.raw.header.block_size);
+  const core::StridedStats& got = f.str_strided;
+  EXPECT_GT(want.runs_of_two_or_more, 0u);
+  EXPECT_EQ(got.original_requests, want.original_requests);
+  EXPECT_EQ(got.strided_requests, want.strided_requests);
+  EXPECT_EQ(got.original_messages, want.original_messages);
+  EXPECT_EQ(got.strided_messages, want.strided_messages);
+  EXPECT_EQ(got.runs_of_two_or_more, want.runs_of_two_or_more);
+  EXPECT_EQ(got.longest_run, want.longest_run);
+  EXPECT_EQ(got.render(), want.render());
+}
+
 TEST(StreamingDifferential, ExportedCampaignTsvsByteIdentical) {
   namespace fs = std::filesystem;
   const auto make_result = [](const core::StudySummary& s) {
@@ -173,7 +199,7 @@ TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesMaterialized) {
   config.workload.seed = 7;
   const core::StudyOutput mat = core::run_study(config);
   const core::StudySummary mat_summary =
-      core::summarize_study("budget_matrix", config, mat);
+      oracle::summarize_study("budget_matrix", config, mat);
 
   struct Case {
     const char* name;
@@ -208,11 +234,12 @@ TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesMaterialized) {
 
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
+    core::StudyConfig budgeted = config;
+    budgeted.spill_budget_mb = c.budget_mb;
     core::StreamOptions sopts;
-    sopts.spill_budget_mb = c.budget_mb;
     sopts.async_spill = c.async;
     sopts.prefetch = c.prefetch;
-    core::StreamedStudyOutput out = core::run_streamed_study(config, sopts);
+    core::StreamedStudyOutput out = core::run_streamed_study(budgeted, sopts);
 
     EXPECT_EQ(out.trace_digest, mat.raw.digest());
     EXPECT_EQ(out.streamed_records, mat.sorted.records.size());

@@ -1,4 +1,4 @@
-// The spill writer / spilled-trace reader behind TraceMode::kStreaming.
+// The spill writer / spilled-trace reader behind run_streamed_study.
 #include <gtest/gtest.h>
 
 #include <algorithm>

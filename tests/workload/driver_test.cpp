@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 
 namespace charisma::workload {
 namespace {
@@ -13,16 +14,17 @@ struct Harness {
     WorkloadConfig wc;
     wc.scale = scale;
     wc.seed = seed;
-    workload = generate(wc);
+    source = load_source(SourceSpec{}, wc);  // synthetic
     machine.emplace(engine, ipsc::MachineConfig::nas_ames(), rng);
     runtime.emplace(*machine);
     collector.emplace(*machine);
-    driver.emplace(*machine, *runtime, *collector, workload);
+    driver.emplace(*machine, *runtime, *collector, *source);
   }
 
   sim::Engine engine;
   util::Rng rng;
-  GeneratedWorkload workload;
+  std::unique_ptr<Source> source;
+  const GeneratedWorkload& workload() const { return source->workload(); }
   std::optional<ipsc::Machine> machine;
   std::optional<cfs::Runtime> runtime;
   std::optional<trace::Collector> collector;
@@ -33,7 +35,7 @@ TEST(Driver, RunsEveryJobToCompletion) {
   Harness h(0.05);
   h.driver->run();
   const auto& results = h.driver->results();
-  EXPECT_EQ(results.size(), h.workload.jobs.size());
+  EXPECT_EQ(results.size(), h.workload().jobs.size());
   for (const auto& r : results) {
     EXPECT_GE(r.start, r.arrival);
     EXPECT_GT(r.end, r.start);
@@ -95,7 +97,7 @@ TEST(Driver, EmitsBalancedJobAndFileEvents) {
       }
     }
   }
-  EXPECT_EQ(starts, h.workload.jobs.size());
+  EXPECT_EQ(starts, h.workload().jobs.size());
   for (const auto& [job, bal] : job_balance) {
     EXPECT_EQ(bal, 0) << "job " << job << " start/end unbalanced";
   }
@@ -110,7 +112,7 @@ TEST(Driver, UntracedJobsLeaveNoFileRecords) {
   Harness h(0.05, 41);
   h.driver->run();
   std::map<cfs::JobId, bool> traced;
-  for (const auto& spec : h.workload.jobs) traced[spec.job] = spec.traced;
+  for (const auto& spec : h.workload().jobs) traced[spec.job] = spec.traced;
   const auto trace = h.collector->take_trace();
   for (const auto& block : trace.blocks) {
     for (const auto& r : block.records) {

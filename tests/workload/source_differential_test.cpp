@@ -1,17 +1,23 @@
-// Differential lock on the workload::Source seam: the synthetic method
-// pulled through the Source API must be bit-identical to the legacy
-// materialized-script Driver path — same trace digest, same per-figure
-// statistics — in both trace modes.  This is the guarantee that the
-// pluggable-source refactor changed the plumbing and nothing else.
+// Differential lock on the workload sources: for every source — the
+// synthetic reconstruction, its chwl export replayed, and the checkpoint
+// archetype — the streaming production pipeline (run_streamed_study +
+// summarize_streamed_study) must be bit-identical to the materialized oracle
+// (run_study + support/materialized_summary.hpp): same trace digest, same
+// headline statistics, same per-figure curves.  The export must also replay
+// to the synthetic study's digest.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "core/campaign.hpp"
 #include "core/stream_study.hpp"
 #include "core/study.hpp"
+#include "support/materialized_summary.hpp"
+#include "workload/replay.hpp"
+#include "workload/source.hpp"
 
 namespace charisma {
 namespace {
@@ -19,108 +25,98 @@ namespace {
 /// The repo-wide determinism anchor: scale 0.2 / seed 42 (see ROADMAP).
 constexpr std::uint64_t kPinnedDigest = 0x5d6c862d0a86afe1ULL;
 
-[[nodiscard]] core::StudyConfig base_config(double scale, std::uint64_t seed,
-                                            bool legacy) {
+[[nodiscard]] core::StudyConfig base_config(double scale, std::uint64_t seed) {
   core::StudyConfig config;
   config.workload.scale = scale;
   config.workload.seed = seed;
-  config.legacy_driver = legacy;
   return config;
 }
 
-[[nodiscard]] core::StudySummary summarize(const core::StudyConfig& config,
-                                           core::TraceMode mode,
-                                           bool with_figures) {
-  if (mode == core::TraceMode::kStreaming) {
-    core::StreamOptions options;
-    options.collect_replay_ops = with_figures;
-    return core::summarize_streamed_study(
-        "study", config, core::run_streamed_study(config, options),
-        with_figures);
-  }
-  return core::summarize_study("study", config, core::run_study(config),
-                               with_figures);
-}
-
-void expect_identical(const core::StudySummary& legacy,
-                      const core::StudySummary& seam,
-                      const std::string& what) {
-  EXPECT_EQ(legacy.trace_digest, seam.trace_digest) << what;
-  EXPECT_EQ(legacy.events_dispatched, seam.events_dispatched) << what;
-  EXPECT_EQ(legacy.records, seam.records) << what;
-  EXPECT_EQ(legacy.total_ops, seam.total_ops) << what;
-  EXPECT_EQ(legacy.sim_end, seam.sim_end) << what;
-  EXPECT_EQ(legacy.idle_fraction, seam.idle_fraction) << what;
-  EXPECT_EQ(legacy.multiprogrammed_fraction, seam.multiprogrammed_fraction)
+void expect_identical(const core::StudySummary& want,
+                      const core::StudySummary& got, const std::string& what) {
+  EXPECT_EQ(want.trace_digest, got.trace_digest) << what;
+  EXPECT_EQ(want.events_dispatched, got.events_dispatched) << what;
+  EXPECT_EQ(want.records, got.records) << what;
+  EXPECT_EQ(want.total_ops, got.total_ops) << what;
+  EXPECT_EQ(want.sim_end, got.sim_end) << what;
+  EXPECT_EQ(want.idle_fraction, got.idle_fraction) << what;
+  EXPECT_EQ(want.multiprogrammed_fraction, got.multiprogrammed_fraction)
       << what;
-  EXPECT_EQ(legacy.single_node_job_fraction, seam.single_node_job_fraction)
+  EXPECT_EQ(want.single_node_job_fraction, got.single_node_job_fraction)
       << what;
-  EXPECT_EQ(legacy.small_read_fraction, seam.small_read_fraction) << what;
-  EXPECT_EQ(legacy.small_write_fraction, seam.small_write_fraction) << what;
-  EXPECT_EQ(legacy.temporary_fraction, seam.temporary_fraction) << what;
-  EXPECT_EQ(legacy.mode0_fraction, seam.mode0_fraction) << what;
+  EXPECT_EQ(want.small_read_fraction, got.small_read_fraction) << what;
+  EXPECT_EQ(want.small_write_fraction, got.small_write_fraction) << what;
+  EXPECT_EQ(want.temporary_fraction, got.temporary_fraction) << what;
+  EXPECT_EQ(want.mode0_fraction, got.mode0_fraction) << what;
 
   // Exact per-figure equality, curve for curve, point for point.
-  ASSERT_EQ(legacy.figures.curves.size(), seam.figures.curves.size()) << what;
-  for (std::size_t c = 0; c < legacy.figures.curves.size(); ++c) {
-    const auto& lc = legacy.figures.curves[c];
-    const auto& sc = seam.figures.curves[c];
-    EXPECT_EQ(lc.name, sc.name) << what;
-    ASSERT_EQ(lc.xs.size(), sc.xs.size()) << what << " " << lc.name;
-    ASSERT_EQ(lc.ys.size(), sc.ys.size()) << what << " " << lc.name;
-    for (std::size_t i = 0; i < lc.ys.size(); ++i) {
-      EXPECT_EQ(lc.xs[i], sc.xs[i]) << what << " " << lc.name << "[" << i
-                                    << "]";
-      EXPECT_EQ(lc.ys[i], sc.ys[i]) << what << " " << lc.name << "[" << i
-                                    << "]";
-    }
+  ASSERT_EQ(want.figures.curves.size(), got.figures.curves.size()) << what;
+  ASSERT_FALSE(want.figures.curves.empty()) << what;
+  for (std::size_t c = 0; c < want.figures.curves.size(); ++c) {
+    const auto& wc = want.figures.curves[c];
+    const auto& gc = got.figures.curves[c];
+    EXPECT_EQ(wc.name, gc.name) << what;
+    EXPECT_EQ(wc.xs, gc.xs) << what << " " << wc.name;
+    EXPECT_EQ(wc.ys, gc.ys) << what << " " << wc.name;
   }
 }
 
-TEST(SourceDifferential, FullStatisticsMatchLegacyInBothTraceModes) {
+/// The three sources at one size and seed: the synthetic reconstruction, its
+/// chwl export (written to `log`) replayed, and the checkpoint archetype.
+[[nodiscard]] std::vector<core::StudyConfig> every_source(
+    double scale, std::uint64_t seed, const std::string& log) {
+  const core::StudyConfig synthetic = base_config(scale, seed);
+  workload::export_source_log(
+      *workload::load_source(synthetic.source, synthetic.workload), log);
+
+  core::StudyConfig replay = synthetic;
+  replay.source = workload::parse_source_spec("replay:" + log);
+  core::StudyConfig checkpoint = synthetic;
+  checkpoint.source = workload::parse_source_spec("checkpoint");
+  return {synthetic, replay, checkpoint};
+}
+
+TEST(SourceDifferential, FullStatisticsMatchOracleForEverySource) {
   // Scale 0.05 is large enough that every figure has mass (the sweep
   // differential uses the same size for the same reason).
-  for (const core::TraceMode mode :
-       {core::TraceMode::kMaterialized, core::TraceMode::kStreaming}) {
-    const core::StudySummary legacy = summarize(
-        base_config(0.05, 7, /*legacy=*/true), mode, /*with_figures=*/true);
-    const core::StudySummary seam = summarize(
-        base_config(0.05, 7, /*legacy=*/false), mode, /*with_figures=*/true);
-    expect_identical(legacy, seam,
-                     std::string("trace mode ") + core::to_string(mode));
+  const std::string log =
+      ::testing::TempDir() + "charisma_source_differential_stats.chwl";
+  for (const core::StudyConfig& config : every_source(0.05, 7, log)) {
+    const std::string what = workload::to_string(config.source);
+    SCOPED_TRACE(what);
+    const core::StudySummary want =
+        oracle::summarize_study("study", config, core::run_study(config));
+    const core::StudySummary got = core::summarize_streamed_study(
+        "study", config, core::run_streamed_study(config));
+    expect_identical(want, got, what);
   }
+  std::remove(log.c_str());
 }
 
-TEST(SourceDifferential, DigestsMatchLegacyInBothTraceModes) {
-  // One legacy reference digest, then the seam in both trace modes — each
-  // must land on the same trace bytes.
-  const core::StudyConfig reference = base_config(0.01, 7, /*legacy=*/true);
-  const std::uint64_t expected = core::run_study(reference).raw.digest();
-
-  const core::StudyConfig config = base_config(0.01, 7, /*legacy=*/false);
-  for (const core::TraceMode mode :
-       {core::TraceMode::kMaterialized, core::TraceMode::kStreaming}) {
-    const std::uint64_t digest =
-        mode == core::TraceMode::kStreaming
-            ? core::run_streamed_study(config).trace_digest
-            : core::run_study(config).raw.digest();
-    EXPECT_EQ(digest, expected) << core::to_string(mode);
+TEST(SourceDifferential, DigestsMatchOracleForEverySource) {
+  // Per source, the streamed trace must hash to the materialized oracle's
+  // trace bytes.
+  const std::string log =
+      ::testing::TempDir() + "charisma_source_differential_digest.chwl";
+  std::vector<std::uint64_t> digests;
+  for (const core::StudyConfig& config : every_source(0.01, 7, log)) {
+    const std::uint64_t want = core::run_study(config).raw.digest();
+    const std::uint64_t got = core::run_streamed_study(config).trace_digest;
+    EXPECT_EQ(got, want) << workload::to_string(config.source);
+    digests.push_back(got);
   }
+  std::remove(log.c_str());
+  // The export replays to the synthetic trace, byte for byte; the
+  // checkpoint archetype is a different workload altogether.
+  EXPECT_EQ(digests[1], digests[0]);
+  EXPECT_NE(digests[2], digests[0]);
 }
 
 TEST(SourceDifferential, PinnedDigestUnchangedThroughTheSeam) {
   // The determinism anchor every other suite pins (scale 0.2, seed 42) must
-  // come out of the Source-fed pipeline unchanged — the refactor moved the
-  // workload -> CFS boundary without disturbing a single trace byte.
-  const core::StudyOutput out =
-      core::run_study(base_config(0.2, 42, /*legacy=*/false));
+  // come out of the Source-fed pipeline unchanged.
+  const core::StudyOutput out = core::run_study(base_config(0.2, 42));
   EXPECT_EQ(out.raw.digest(), kPinnedDigest);
-}
-
-TEST(SourceDifferential, LegacyDriverRejectsNonSyntheticSources) {
-  core::StudyConfig config = base_config(0.01, 7, /*legacy=*/true);
-  config.source.method = "checkpoint";
-  EXPECT_ANY_THROW((void)core::run_study(config));
 }
 
 }  // namespace

@@ -4,18 +4,16 @@
 // `trace_and_characterize --out=nas.chtr`) and runs the requested analyses,
 // like the analysis programs behind the paper's §4.
 //
-// By default the trace is *streamed*: the file's blocks are merged in
-// corrected chronological order and pushed once through the bounded-state
-// accumulators, so resident memory is O(merge window) — a trace far larger
-// than RAM still analyzes.  Streaming mode also opens the file tolerantly:
-// a trace cut short by a crash (unpatched block count, torn final block)
-// analyzes up to the crash point with a warning instead of failing.
-// --trace-mode=materialized loads the whole record vector in memory (the
-// reference path; required for --strided, which rewrites the records).
+// The trace is *streamed*: the file's blocks are merged in corrected
+// chronological order and pushed once through bounded-state sinks (the
+// accumulators, the replay-op spill, the strided rewrite), so resident
+// memory is O(merge window) — a trace far larger than RAM still analyzes.
+// The file is opened tolerantly: a trace cut short by a crash (unpatched
+// block count, torn final block) analyzes up to the crash point with a
+// warning instead of failing.
 //
 //   charisma_analyze <trace.chtr> [--report=<section>] [--cache=<sim>]
 //                    [--buffers=N] [--policy=lru|fifo|ip] [--strided]
-//                    [--trace-mode=streaming|materialized]
 //   charisma_analyze --workload=synthetic|replay:<chwl>|checkpoint
 //                    [--scale=S] [--seed=N] [--chkpoint-*=...]
 //                    [same analysis flags]
@@ -26,6 +24,8 @@
 //              modes, sharing, paper (measured-vs-published deltas per
 //              figure, with the fidelity tolerance bands)
 //   --cache:   io | compute | combined  (trace-driven cache simulation)
+//   --policy:  lru (default) | fifo | ip  (I/O-node replacement policy)
+//   --strided: rewrite every request stream as strided requests (S5)
 //   --workload: instead of reading a saved trace, run a full study from the
 //              named workload source and analyze its trace — so a replayed
 //              chwl log (or the checkpoint archetype) gets the complete
@@ -33,9 +33,10 @@
 //   --dump-workload: export the selected source's op stream as a chwl v1
 //              text log (see workload/replay.hpp for the schema) and exit
 //
-// An unknown --report section or a malformed command line prints the usage
-// line and exits 2; a runtime error (a bad --trace-mode, an unreadable
-// trace) prints one error line and exits 1.
+// An unknown --report section, --cache simulator or --policy, an unknown
+// or retired flag, or anything but exactly one trace path in file mode
+// prints the usage line and exits 2 before any work; a runtime error (an
+// unreadable trace, a bad workload) prints one error line and exits 1.
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -54,6 +55,7 @@
 #include "trace/postprocess.hpp"
 #include "trace/spill.hpp"
 #include "util/flags.hpp"
+#include "util/units.hpp"
 #include "workload/replay.hpp"
 #include "workload/source.hpp"
 
@@ -67,6 +69,16 @@ constexpr std::array<const char*, 13> kReports{
     "requests", "sequentiality", "intervals", "regularity", "modes",
     "sharing", "paper"};
 
+/// The --cache simulators.
+constexpr std::array<const char*, 3> kCacheSims{"io", "compute", "combined"};
+
+/// The --policy names, with the replacement policy each selects.
+constexpr std::array<std::pair<const char*, cache::Policy>, 3> kPolicies{{
+    {"lru", cache::Policy::kLru},
+    {"fifo", cache::Policy::kFifo},
+    {"ip", cache::Policy::kInterprocessAware},
+}};
+
 int usage() {
   std::string sections;
   for (const char* r : kReports) {
@@ -79,7 +91,6 @@ int usage() {
                "[--seed=N] [--chkpoint-*=...]) [--report=SECTION] "
                "[--cache=io|compute|combined] [--buffers=N] "
                "[--policy=lru|fifo|ip] [--strided] "
-               "[--trace-mode=streaming|materialized] "
                "[--spill-budget-mb=N] [--spill-dir=DIR] "
                "[--dump-workload=<out.chwl>]; SECTION is one of %s\n",
                sections.c_str());
@@ -88,9 +99,9 @@ int usage() {
 
 int run(int argc, char** argv) {
   std::vector<std::string> known{
-      "report",   "cache",         "buffers", "policy",
-      "strided",  "trace-mode",    "workload", "dump-workload",
-      "scale",    "seed",          "spill-budget-mb", "spill-dir"};
+      "report",   "cache",   "buffers",         "policy",
+      "strided",  "workload", "dump-workload",  "scale",
+      "seed",     "spill-budget-mb",            "spill-dir"};
   for (const auto& name : workload::checkpoint_flag_names()) {
     known.push_back(name);
   }
@@ -99,6 +110,17 @@ int run(int argc, char** argv) {
   if (std::find(kReports.begin(), kReports.end(), report) == kReports.end()) {
     return usage();
   }
+  // A bare --cache parses as "true", which names no simulator either.
+  const std::string sim = flags.get("cache", "io");
+  if (std::find(kCacheSims.begin(), kCacheSims.end(), sim) ==
+      kCacheSims.end()) {
+    return usage();
+  }
+  const std::string policy_name = flags.get("policy", "lru");
+  const auto policy_it =
+      std::find_if(kPolicies.begin(), kPolicies.end(),
+                   [&](const auto& p) { return policy_name == p.first; });
+  if (policy_it == kPolicies.end()) return usage();
 
   // Workload-source modes share one config: --scale/--seed/--chkpoint-*
   // apply on top of the NAS defaults.
@@ -131,19 +153,18 @@ int run(int argc, char** argv) {
   // Exactly one trace origin: a saved trace file, or a study run live from
   // a workload source.
   const bool study_mode = flags.has("workload");
-  if (study_mode ? flags.remaining_argc() != 1 : flags.remaining_argc() < 2) {
-    return usage();
-  }
+  // argv[0], plus the trace path in file mode; anything else is a stray
+  // argument or an unknown flag.
+  if (flags.remaining_argc() != (study_mode ? 1 : 2)) return usage();
   const std::string path = study_mode ? "" : flags.remaining()[1];
-  const core::TraceMode mode =
-      core::parse_trace_mode(flags.get("trace-mode", "streaming"));
   const auto want = [&](const char* name) {
     return report == "all" || report == name;
   };
   // Figure 8 / --cache both replay the filtered op stream; collect it during
   // the streaming merge only when something will consume it.
   const bool want_ops = want("paper") || flags.has("cache");
-  // Streaming spill knobs (study mode and file mode alike).
+  const bool strided = flags.get_bool("strided", false);
+  // Spill knobs (study mode and file mode alike).
   const std::int64_t spill_budget_mb =
       flags.get_int("spill-budget-mb", core::kDefaultSpillBudgetMb);
   const std::string spill_dir = flags.get("spill-dir", "");
@@ -152,8 +173,8 @@ int run(int argc, char** argv) {
   std::uint64_t record_count = 0;
   analysis::SessionStore store;
   analysis::RequestSizeResult requests;
-  std::optional<trace::SortedTrace> sorted;  // materialized mode only
-  std::optional<cache::ReplayOpSpill> ops;   // streaming mode only
+  std::optional<cache::ReplayOpSpill> ops;
+  std::optional<core::StridedRewriter> strided_sink;
 
   try {
     if (study_mode) {
@@ -162,24 +183,20 @@ int run(int argc, char** argv) {
       config.source = source_spec;
       config.spill_budget_mb = spill_budget_mb;
       config.spill_dir = spill_dir;
-      if (mode == core::TraceMode::kStreaming) {
-        core::StreamOptions sopts;
-        sopts.collect_replay_ops = want_ops;
-        core::StreamedStudyOutput out = core::run_streamed_study(config, sopts);
-        header = out.header;
-        record_count = out.records;
-        store = std::move(out.sessions);
-        requests = std::move(out.request_sizes);
-        if (want_ops) ops = std::move(out.replay_ops);
-      } else {
-        core::StudyOutput out = core::run_study(config);
-        header = out.raw.header;
-        record_count = out.raw.record_count();
-        sorted = std::move(out.sorted);
-        store = analysis::SessionStore(*sorted);
-        requests = analysis::analyze_request_sizes(*sorted);
+      core::StreamOptions sopts;
+      sopts.collect_replay_ops = want_ops;
+      if (strided) {
+        // The geometry the collector stamps into the trace header.
+        strided_sink.emplace(config.machine.io_nodes, util::kBlockSize);
+        sopts.sinks.push_back(&*strided_sink);
       }
-    } else if (mode == core::TraceMode::kStreaming) {
+      core::StreamedStudyOutput out = core::run_streamed_study(config, sopts);
+      header = out.header;
+      record_count = out.records;
+      store = std::move(out.sessions);
+      requests = std::move(out.request_sizes);
+      if (want_ops) ops = std::move(out.replay_ops);
+    } else {
       bool truncated = false;
       const trace::SpilledTrace spilled =
           trace::SpilledTrace::open(path, /*tolerant=*/true, &truncated);
@@ -204,17 +221,14 @@ int run(int argc, char** argv) {
         op_sink.emplace(std::move(oopts));
         sinks.push_back(&*op_sink);
       }
+      if (strided) {
+        strided_sink.emplace(header.io_nodes, header.block_size);
+        sinks.push_back(&*strided_sink);
+      }
       (void)trace::stream_postprocess(spilled, sinks);
       store = sessions.take(header);
       requests = request_acc.finish();
       if (op_sink.has_value()) ops = op_sink->finish();
-    } else {
-      const trace::TraceFile raw = trace::TraceFile::read(path);
-      header = raw.header;
-      record_count = raw.record_count();
-      sorted = trace::postprocess(raw);
-      store = analysis::SessionStore(*sorted);
-      requests = analysis::analyze_request_sizes(*sorted);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cannot %s %s: %s\n",
@@ -275,16 +289,10 @@ int run(int argc, char** argv) {
         analysis::analyze_sharing(store, header.block_size).render().c_str());
   }
 
-  // Both cache consumers share one runner (and, streaming, one op spill).
+  // Both cache consumers share one runner over one op spill.
   const std::set<cache::SessionKey> read_only = store.read_only_sessions();
   std::optional<cache::SweepRunner> runner;
-  if (want_ops) {
-    if (ops.has_value()) {
-      runner.emplace(std::move(*ops), read_only);
-    } else {
-      runner.emplace(*sorted, read_only);
-    }
-  }
+  if (want_ops) runner.emplace(std::move(*ops), read_only);
 
   if (want("paper")) {
     // Figure 8's statistics come from the compute-cache replay (one buffer
@@ -299,13 +307,9 @@ int run(int argc, char** argv) {
   }
 
   if (flags.has("cache")) {
-    const std::string sim = flags.get("cache", "io");
     const auto buffers =
         static_cast<std::size_t>(flags.get_int("buffers", 4000));
-    const std::string pol = flags.get("policy", "lru");
-    cache::Policy policy = cache::Policy::kLru;
-    if (pol == "fifo") policy = cache::Policy::kFifo;
-    if (pol == "ip") policy = cache::Policy::kInterprocessAware;
+    const cache::Policy policy = policy_it->second;
 
     if (sim == "compute") {
       cache::ComputeCacheConfig cfg;
@@ -328,18 +332,9 @@ int run(int argc, char** argv) {
     }
   }
 
-  if (flags.get_bool("strided", false)) {
-    if (!sorted.has_value()) {
-      std::fprintf(stderr,
-                   "--strided rewrites the record vector and needs "
-                   "--trace-mode=materialized\n");
-      return 2;
-    }
-    std::printf(
-        "--- Strided rewriting (S5) ---\n%s\n",
-        core::rewrite_strided(*sorted, header.io_nodes, header.block_size)
-            .render()
-            .c_str());
+  if (strided_sink.has_value()) {
+    std::printf("--- Strided rewriting (S5) ---\n%s\n",
+                strided_sink->finish().render().c_str());
   }
   return 0;
 }

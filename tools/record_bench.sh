@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
 # Builds the Release tree and records an end-to-end perf study into
 # BENCH_study.json at the repository root.  The file holds the measured
-# stage timings for the default (grouped-sweep, streaming) pipeline, the
-# same run with the reference per-config sweep mode, the same run with the
-# materialized (in-memory reference) trace mode, a
-# scale-1.0 pair in both trace modes (the streaming pipeline's bounded-RSS
-# claim, measured: peak_rss_kb at scale 1.0 streaming must stay within 2x of
-# the scale-0.2 materialized entry, plus the spill tier/stage telemetry —
-# spill_bytes_written/read and the spill_write/spill_read/sink stage times),
-# and — when a pre-change baseline file is passed — the end-to-end speedup
-# against it, so perf regressions show up as diffs.
+# stage timings of perf_study at the requested scale, a scale-1.0 run (peak
+# RSS plus the spill tier/stage telemetry — spill_bytes_written/read and the
+# spill_write/spill_read/sink stage times), campaign throughput, and — when
+# a pre-change baseline file is passed — the end-to-end speedup against it,
+# so perf regressions show up as diffs.  The sweep and trace-pipeline
+# reference paths are test oracles only; their equality with production is
+# checked by the SweepDifferential and StreamingDifferential suites, not
+# timed here.
 #
 # Usage: tools/record_bench.sh [scale] [threads] [baseline.json] [reps]
 #   scale          workload scale (default 0.2)
@@ -39,15 +38,14 @@ cmake --build "$BUILD" -j "$(nproc)" --target perf_study charisma_campaign > /de
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-run_case_at() { # label scale reps sweep-mode [extra perf_study flags...]
+run_case_at() { # label scale reps [extra perf_study flags...]
                 # -> $TMP/<label>.json (best of reps by total)
-  local label="$1" scale="$2" reps="$3" sweep="$4"
-  shift 4
-  echo "[record_bench] measuring $label ($sweep sweep, scale=$scale threads=$THREADS, best of $reps)..."
+  local label="$1" scale="$2" reps="$3"
+  shift 3
+  echo "[record_bench] measuring $label (scale=$scale threads=$THREADS, best of $reps)..."
   local best=""
   for rep in $(seq 1 "$reps"); do
-    "$BUILD/bench/perf_study" --scale="$scale" --threads="$THREADS" \
-        --sweep-mode="$sweep" "$@" \
+    "$BUILD/bench/perf_study" --scale="$scale" --threads="$THREADS" "$@" \
         --out="$TMP/$label.rep$rep.json" > /dev/null 2> /dev/null
     local total
     total="$(jq '.stages_ms.total' "$TMP/$label.rep$rep.json")"
@@ -61,24 +59,11 @@ run_case_at() { # label scale reps sweep-mode [extra perf_study flags...]
   done
 }
 
-run_case() { # label sweep-mode [extra perf_study flags...]
-  local label="$1" sweep="$2"
-  shift 2
-  run_case_at "$label" "$SCALE" "$REPS" "$sweep" "$@"
-}
-
-run_case current grouped
-run_case per_config_sweep per-config
-# Trace-mode cross-check at the default scale: the materialized (in-memory
-# reference) pipeline, digest-identical to the streaming default.
-run_case materialized_trace grouped --trace-mode=materialized
-# The bounded-RSS headline: scale 1.0 in both trace modes.  Two reps each
-# (minutes per rep): RSS — the primary figure of merit — does not jitter,
-# but the study-stage wall ratio recorded below does, so take the best run
-# like the scale-0.2 cases do.  Streaming peak RSS must stay within 2x of
-# the scale-0.2 materialized entry; the ratio lands in scale_1.0.rss below.
-run_case_at scale1_streaming 1.0 2 grouped --trace-mode=streaming
-run_case_at scale1_materialized 1.0 2 grouped --trace-mode=materialized
+run_case_at current "$SCALE" "$REPS"
+# The bounded-RSS headline at scale 1.0.  Two reps (minutes per rep): RSS
+# does not jitter, but the stage walls do, so take the best run like the
+# default-scale case does.
+run_case_at scale1_streaming 1.0 2
 
 # Campaign throughput: two seed replications at the same scale, fanned over
 # the requested worker threads (0 = hardware concurrency).
@@ -99,10 +84,7 @@ fi
 
 jq -n \
   --slurpfile cur "$TMP/current.json" \
-  --slurpfile sweep_ref "$TMP/per_config_sweep.json" \
-  --slurpfile mat "$TMP/materialized_trace.json" \
   --slurpfile s1str "$TMP/scale1_streaming.json" \
-  --slurpfile s1mat "$TMP/scale1_materialized.json" \
   --slurpfile base "$TMP/baseline.json" \
   --arg kernel "$(uname -sr)" \
   --arg recorded "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
@@ -115,21 +97,9 @@ jq -n \
      recorded_utc: $recorded,
      host: {kernel: $kernel, cores: $cores},
      current: $cur[0],
-     per_config_sweep: $sweep_ref[0],
-     materialized_trace: $mat[0],
      "scale_1.0": {
        streaming: $s1str[0],
-       materialized: $s1mat[0],
-       rss: {
-         streaming_peak_rss_kb: $s1str[0].peak_rss_kb,
-         materialized_peak_rss_kb: $s1mat[0].peak_rss_kb,
-         streaming_vs_materialized:
-           ($s1str[0].peak_rss_kb / $s1mat[0].peak_rss_kb),
-         streaming_vs_scale02_materialized:
-           ($s1str[0].peak_rss_kb / $mat[0].peak_rss_kb)
-       },
-       study_stage_streaming_vs_materialized:
-         ($s1str[0].stages_ms.study / $s1mat[0].stages_ms.study),
+       peak_rss_kb: $s1str[0].peak_rss_kb,
        spill: {
          budget_mb: $s1str[0].spill_budget_mb,
          bytes_written: $s1str[0].spill_bytes_written,
@@ -150,12 +120,6 @@ jq -n \
        studies_per_minute: $campaign_rate
      },
      speedup: {
-       sweep_grouped_vs_per_config:
-         ($sweep_ref[0].stages_ms.sweep / $cur[0].stages_ms.sweep),
-       end_to_end_streaming_vs_materialized:
-         ($mat[0].stages_ms.total / $cur[0].stages_ms.total),
-       peak_rss_streaming_vs_materialized:
-         ($cur[0].peak_rss_kb / $mat[0].peak_rss_kb),
        end_to_end_vs_baseline:
          (if $base[0] == null then null
           else $base[0].stages_ms.total / $cur[0].stages_ms.total end),
