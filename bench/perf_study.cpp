@@ -194,11 +194,13 @@ int run(int argc, char** argv) {
   const std::size_t sweep_passes = compute_plan.passes() + io_plan.passes();
   std::fprintf(stderr, "compute plan: %s\n", compute_plan.describe().c_str());
   std::fprintf(stderr, "io plan: %s\n", io_plan.describe().c_str());
+  const cache::OneTouchStats& one_touch = sweeps.one_touch();
   std::fprintf(stderr,
                "spill: budget=%lldMiB write_ms=%.1f read_ms=%.1f "
                "sink_ms=%.1f digest_ms=%.1f stall_ms=%.1f written=%lld "
                "read=%lld trace_blocks=%llu/%llu ops_chunks=%llu/%llu "
-               "(mem/disk)\n",
+               "(mem/disk) one_touch_ops=%llu one_touch_block_frac=%.4f "
+               "one_touch_mark_ms=%.1f\n",
                static_cast<long long>(spill.spill_budget_mb),
                spill.spill_write_ms, spill.spill_read_ms, spill.sink_ms,
                digest_ms, spill.append_stall_ms,
@@ -207,7 +209,9 @@ int run(int argc, char** argv) {
                static_cast<unsigned long long>(spill.trace_blocks_in_memory),
                static_cast<unsigned long long>(spill.trace_blocks_on_disk),
                static_cast<unsigned long long>(spill.ops_chunks_in_memory),
-               static_cast<unsigned long long>(spill.ops_chunks_on_disk));
+               static_cast<unsigned long long>(spill.ops_chunks_on_disk),
+               static_cast<unsigned long long>(one_touch.ops),
+               one_touch.block_frac(), one_touch.mark_ms);
   print_sweep_results(compute_configs, compute_results, io_configs,
                       io_results);
 
@@ -262,6 +266,11 @@ int run(int argc, char** argv) {
   json += "  \"sorted_records\": " + std::to_string(out.streamed_records) +
           ",\n";
   json += "  \"replay_ops\": " + std::to_string(sweeps.replay_ops()) + ",\n";
+  json += "  \"one_touch_ops\": " + std::to_string(one_touch.ops) + ",\n";
+  json += "  \"one_touch_block_frac\": " +
+          std::to_string(one_touch.block_frac()) + ",\n";
+  json += "  \"one_touch_mark_ms\": " + std::to_string(one_touch.mark_ms) +
+          ",\n";
   json += "  \"compute_sweep_points\": " +
           std::to_string(compute_results.size()) + ",\n";
   json += "  \"io_sweep_points\": " + std::to_string(io_results.size()) +

@@ -1,34 +1,26 @@
 #include "cache/block_cache.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "util/check.hpp"
 
 namespace charisma::cache {
 
 BlockCache::BlockCache(std::size_t capacity, Policy policy)
-    : capacity_(capacity), policy_(policy) {
+    : capacity_(capacity), policy_(policy), index_(capacity) {
   CHECK(capacity_ < kNil, "block cache capacity ", capacity_,
         " exceeds the slab index range");
-  if (capacity_ == 0) return;
-  // Twice the capacity rounded up to a power of two: the load factor never
-  // passes 1/2 (probes stay short) and the table never rehashes, so a miss
-  // costs no allocation once the slab has grown to capacity.
-  const std::size_t buckets =
-      std::bit_ceil(std::max<std::size_t>(16, capacity_ * 2));
-  slots_.resize(buckets);
-  mask_ = buckets - 1;
 }
 
 bool BlockCache::access(const BlockKey& key, NodeId node) {
   ++accesses_;
   if (capacity_ == 0) return false;
+  const std::uint32_t hash = detail::block_hash(key);
   {
-    const std::size_t slot = probe(key);
-    if (slots_[slot].node != kEmptySlot) {
+    const std::uint32_t idx = index_.find(
+        hash, [&](std::uint32_t i) { return nodes_[i].key == key; });
+    if (idx != kNil) {
       ++hits_;
-      const std::uint32_t idx = slots_[slot].node;
       if (policy_ != Policy::kFifo && idx != head_) {
         // LRU and IP-aware promote on hit; FIFO keeps insertion order.
         unlink(idx);
@@ -38,29 +30,72 @@ bool BlockCache::access(const BlockKey& key, NodeId node) {
       return true;
     }
   }
-  std::uint32_t idx;
-  if (size_ >= capacity_) {
-    idx = evict_one();
-    nodes_[idx].key = key;
-    if (policy_ == Policy::kInterprocessAware) accessors_[idx].clear();
-  } else {
-    idx = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.push_back(Node{key, kNil, kNil});
-    if (policy_ == Policy::kInterprocessAware) accessors_.emplace_back();
+  std::uint32_t idx = size_ >= capacity_ ? evict_one() : kNil;
+  if (idx == kNil) idx = allocate();
+  nodes_[idx].key = key;
+  if (policy_ == Policy::kInterprocessAware) {
+    accessors_[idx].clear();
+    accessors_[idx].insert(node);
   }
-  if (policy_ == Policy::kInterprocessAware) accessors_[idx].insert(node);
   push_front(idx);
   ++size_;
-  // Eviction's backward-shift erase may rearrange the probe chain, so the
-  // insertion slot is re-probed after it rather than reused from the lookup.
-  const std::size_t slot = probe(key);
-  DCHECK(slots_[slot].node == kEmptySlot,
-         "double-insert of block into the cache index");
-  slots_[slot] = Slot{key, idx};
+  index_.insert(hash, idx);
   CHECK(size_ <= capacity_, "cache occupancy ", size_, " exceeds capacity ",
         capacity_);
-  DCHECK(size_ <= nodes_.size(), "recency slab out of sync with entry count");
+  DCHECK(size_ >= nodes_.size() - free_.size(),
+         "recency slab out of sync with entry count");
   return false;
+}
+
+void BlockCache::insert_run(std::uint64_t n) {
+  CHECK(policy_ != Policy::kInterprocessAware,
+        "IP-aware caches step one-touch blocks one by one");
+  accesses_ += n;
+  if (capacity_ == 0 || n == 0) return;
+  // n fresh misses in a row: each evicts from the tail once the cache is
+  // full, and only the last `capacity` of them survive.
+  const std::size_t kept =
+      static_cast<std::size_t>(std::min<std::uint64_t>(n, capacity_));
+  std::size_t evict = size_ + kept > capacity_ ? size_ + kept - capacity_ : 0;
+  while (evict > 0) {
+    Node& tail = nodes_[tail_];
+    if (!is_run(tail)) {
+      free_.push_back(evict_one());
+      --evict;
+      continue;
+    }
+    const auto taken =
+        std::min(evict, static_cast<std::size_t>(tail.key.block));
+    tail.key.block -= static_cast<std::int64_t>(taken);
+    size_ -= taken;
+    evict -= taken;
+    if (tail.key.block == 0) {
+      const std::uint32_t idx = tail_;
+      unlink(idx);
+      free_.push_back(idx);
+    }
+  }
+  if (head_ != kNil && is_run(nodes_[head_])) {
+    nodes_[head_].key.block += static_cast<std::int64_t>(kept);
+  } else {
+    const std::uint32_t idx = allocate();
+    nodes_[idx].key = BlockKey{cfs::kNoFile, static_cast<std::int64_t>(kept)};
+    push_front(idx);
+  }
+  size_ += kept;
+  CHECK(size_ <= capacity_, "cache occupancy ", size_, " exceeds capacity ",
+        capacity_);
+}
+
+std::uint32_t BlockCache::allocate() {
+  if (!free_.empty()) {
+    const std::uint32_t idx = free_.back();
+    free_.pop_back();
+    return idx;
+  }
+  nodes_.push_back(Node{});
+  if (policy_ == Policy::kInterprocessAware) accessors_.emplace_back();
+  return static_cast<std::uint32_t>(nodes_.size() - 1);
 }
 
 void BlockCache::unlink(std::uint32_t idx) {
@@ -91,6 +126,13 @@ void BlockCache::push_front(std::uint32_t idx) {
 std::uint32_t BlockCache::evict_one() {
   DCHECK(tail_ != kNil, "evicting from an empty cache");
   std::uint32_t victim = tail_;
+  --size_;
+  if (is_run(nodes_[victim])) {
+    // Runs leave by count: only the last member frees the node.
+    if (--nodes_[victim].key.block > 0) return kNil;
+    unlink(victim);
+    return victim;
+  }
   if (policy_ == Policy::kInterprocessAware) {
     // IP-aware: among the coldest few blocks, evict the one consumed by the
     // most distinct nodes — its interprocess reuse is behind it.
@@ -106,35 +148,9 @@ std::uint32_t BlockCache::evict_one() {
       }
     }
   }
-  erase_slot_for(nodes_[victim].key);
+  index_.erase(detail::block_hash(nodes_[victim].key), victim);
   unlink(victim);
-  --size_;
   return victim;
-}
-
-void BlockCache::erase_slot_for(const BlockKey& key) {
-  std::size_t gap = probe(key);
-  CHECK(slots_[gap].node != kEmptySlot, "evicted block (file=", key.file,
-        ", block=", key.block, ") missing from the cache index");
-  // Backward-shift deletion: walk the chain after the gap and pull back any
-  // entry whose home slot lies cyclically at or before the gap, so lookups
-  // never need tombstones.
-  std::size_t scan = gap;
-  for (;;) {
-    slots_[gap].node = kEmptySlot;
-    for (;;) {
-      scan = (scan + 1) & mask_;
-      if (slots_[scan].node == kEmptySlot) return;
-      const std::size_t home = BlockKeyHash{}(slots_[scan].key) & mask_;
-      const bool movable = (scan > gap) ? (home <= gap || home > scan)
-                                        : (home <= gap && home > scan);
-      if (movable) {
-        slots_[gap] = slots_[scan];
-        gap = scan;
-        break;
-      }
-    }
-  }
 }
 
 }  // namespace charisma::cache

@@ -9,42 +9,26 @@
 // block is dead once every party has read it.
 //
 // The cache is allocation-free in steady state: resident blocks live in a
-// slab of intrusively linked nodes (slots reused on eviction), indexed by an
-// open-addressing table sized once at construction to keep the load factor
-// at or below 1/2.  The sweep runner replays the whole trace through one of
-// these per configuration point, so the per-access cost — not asymptotics —
-// is what the fig8/fig9/§4.8 benches actually pay.
+// slab of intrusively linked nodes (slots reused on eviction), indexed by a
+// detail::BlockIndex sized once at construction.  The sweep runner replays
+// the whole trace through one of these per configuration point, so the
+// per-access cost — not asymptotics — is what the fig8/fig9/§4.8 benches
+// actually pay.
+//
+// Blocks that no other request ever touches (one-touch runs, see
+// ReplayLog) enter as one counted list node instead of one node per block:
+// they always miss and are never looked up again, so all they do is push
+// other blocks down or out.  A run node is not in the index, and eviction
+// takes units from it by count.
 #pragma once
 
 #include <cstdint>
 #include <unordered_set>
 #include <vector>
 
-#include "cfs/types.hpp"
+#include "cache/block_index.hpp"
 
 namespace charisma::cache {
-
-using cfs::FileId;
-using cfs::NodeId;
-
-struct BlockKey {
-  FileId file = cfs::kNoFile;
-  std::int64_t block = 0;
-  bool operator==(const BlockKey&) const = default;
-};
-
-struct BlockKeyHash {
-  std::size_t operator()(const BlockKey& k) const noexcept {
-    std::uint64_t x = (static_cast<std::uint64_t>(
-                           static_cast<std::uint32_t>(k.file))
-                       << 40) ^
-                      static_cast<std::uint64_t>(k.block);
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    return static_cast<std::size_t>(x);
-  }
-};
 
 enum class Policy : std::uint8_t { kLru, kFifo, kInterprocessAware };
 
@@ -65,8 +49,14 @@ class BlockCache {
   /// the block (evicting per policy when full).  capacity == 0 never hits.
   bool access(const BlockKey& key, NodeId node);
 
+  /// Inserts `n` blocks that are never accessed again: the same occupancy,
+  /// counters and later hits as `n` misses on fresh keys, in time linear in
+  /// the list nodes it evicts.  LRU and FIFO only (IP-aware eviction reads
+  /// per-block accessor sets).  capacity == 0 stores nothing.
+  void insert_run(std::uint64_t n);
+
   [[nodiscard]] bool contains(const BlockKey& key) const {
-    return capacity_ != 0 && slots_[probe(key)].node != kEmptySlot;
+    return capacity_ != 0 && find(key) != kNil;
   }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
@@ -79,47 +69,42 @@ class BlockCache {
   }
 
  private:
-  static constexpr std::uint32_t kNil = 0xffffffffu;        // list terminator
-  static constexpr std::uint32_t kEmptySlot = 0xffffffffu;  // vacant slot
+  static constexpr std::uint32_t kNil = detail::BlockIndex::kAbsent;
 
   // Slab node on the intrusive recency list: front (head_) = most recent
-  // (LRU) / newest (FIFO); prev points toward the front.
+  // (LRU) / newest (FIFO); prev points toward the front.  A run node has
+  // key.file == kNoFile and holds key.block anonymous blocks.
   struct Node {
     BlockKey key;
     std::uint32_t prev = kNil;
     std::uint32_t next = kNil;
   };
-  // Open-addressing slot mapping a resident key to its slab node.
-  struct Slot {
-    BlockKey key;
-    std::uint32_t node = kEmptySlot;
-  };
 
-  /// Linear-probes for `key`: returns the slot holding it, or the first
-  /// empty slot of its probe chain when absent (the insertion point).
-  /// Terminates because the table always has vacant slots (load <= 1/2).
-  [[nodiscard]] std::size_t probe(const BlockKey& key) const {
-    std::size_t i = BlockKeyHash{}(key) & mask_;
-    while (slots_[i].node != kEmptySlot && !(slots_[i].key == key)) {
-      i = (i + 1) & mask_;
-    }
-    return i;
+  [[nodiscard]] static bool is_run(const Node& n) noexcept {
+    return n.key.file == cfs::kNoFile;
+  }
+  [[nodiscard]] std::uint32_t find(const BlockKey& key) const {
+    return index_.find(detail::block_hash(key), [&](std::uint32_t idx) {
+      return nodes_[idx].key == key;
+    });
   }
   void unlink(std::uint32_t idx);
   void push_front(std::uint32_t idx);
-  /// Removes one block per policy; returns its slab index for reuse.
+  /// A slab node for a new list entry: a freed one, else a fresh one.
+  std::uint32_t allocate();
+  /// Removes one block per policy.  Returns the slab index it freed, or kNil
+  /// when the block came off a run that still holds others.
   std::uint32_t evict_one();
-  void erase_slot_for(const BlockKey& key);
 
   std::size_t capacity_;
   Policy policy_;
-  std::size_t mask_ = 0;  // slots_.size() - 1; slots_ is a power of two
-  std::vector<Slot> slots_;
+  detail::BlockIndex index_;
   std::vector<Node> nodes_;
+  std::vector<std::uint32_t> free_;  // slab nodes freed by run inserts
   std::vector<std::unordered_set<NodeId>> accessors_;  // IP-aware only
   std::uint32_t head_ = kNil;
   std::uint32_t tail_ = kNil;
-  std::size_t size_ = 0;
+  std::size_t size_ = 0;  // resident blocks, run members included
   std::uint64_t hits_ = 0;
   std::uint64_t accesses_ = 0;
 

@@ -1,5 +1,7 @@
 #include "cache/replay.hpp"
 
+#include <algorithm>
+
 #include "trace/record.hpp"
 
 namespace charisma::cache {
@@ -119,6 +121,105 @@ std::size_t decode_ops(const std::uint8_t* data, std::size_t size,
     prev_end = op.offset + op.bytes;
   }
   return pos;
+}
+
+OneTouchMarker::File& OneTouchMarker::file(FileId id) {
+  // File ids are dense inode numbers in practice, so the id -> state map is
+  // a flat vector; an id far outside that range goes through a hash map.
+  if (id < 0 || id >= kDenseFiles) return sparse_[id];
+  const auto at = static_cast<std::size_t>(id);
+  if (at >= dense_.size()) dense_.resize(at + 1);
+  return dense_[at];
+}
+
+void OneTouchMarker::clear(std::vector<Candidate>& live, std::int64_t first,
+                           std::int64_t last) {
+  // Every live candidate [first, last] overlaps is touched twice.
+  const auto from = std::lower_bound(
+      live.begin(), live.end(), first,
+      [](const Candidate& c, std::int64_t v) { return c.last < v; });
+  auto to = from;
+  for (; to != live.end() && to->first <= last; ++to) {
+    bits_[to->op >> 6] &= ~(1ull << (to->op & 63));
+    --stats_.ops;
+    stats_.blocks -= static_cast<std::uint64_t>(to->last - to->first + 1);
+  }
+  live.erase(from, to);
+}
+
+void OneTouchMarker::add(const ReplayOp* ops, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) add(ops[i]);
+}
+
+void OneTouchMarker::add(const ReplayOp& op) {
+  const std::uint64_t id = next_++;
+  if ((id & 63) == 0) bits_.push_back(0);
+  const std::int64_t first = op.offset / kBlockSize;
+  const std::int64_t last =
+      (op.offset + std::max<std::int64_t>(op.bytes, 1) - 1) / kBlockSize;
+  const auto blocks = static_cast<std::uint64_t>(last - first + 1);
+  stats_.total_blocks += blocks;
+  const auto mark = [&] {
+    bits_[id >> 6] |= 1ull << (id & 63);
+    ++stats_.ops;
+    stats_.blocks += blocks;
+  };
+
+  File& f = file(op.file);
+  std::vector<Range>& seen = f.seen;
+  std::vector<Candidate>& live = f.live;
+  if (first >= f.hot.first && last <= f.hot.last) {
+    // Inside the range the file's last op merged into (re-reads mostly
+    // land there): the union stays as it is.
+    if (!live.empty()) clear(live, first, last);
+    return;
+  }
+  if (seen.empty() || first > seen.back().last) {
+    // Past every block of the file seen so far (the common append): a
+    // candidate, extending the last range when it is adjacent.
+    if (!seen.empty() && first == seen.back().last + 1) {
+      seen.back().last = last;
+    } else {
+      seen.push_back({first, last});
+    }
+    f.hot = seen.back();
+    live.push_back({first, last, id});
+    mark();
+    return;
+  }
+
+  // The seen ranges that overlap [first, last] or touch it end to end: they
+  // merge with it into one.
+  const auto lo = std::lower_bound(
+      seen.begin(), seen.end(), first - 1,
+      [](const Range& r, std::int64_t v) { return r.last < v; });
+  auto hi = lo;
+  bool overlaps = false;
+  Range merged{first, last};
+  for (; hi != seen.end() && hi->first <= last + 1; ++hi) {
+    overlaps = overlaps || (hi->last >= first && hi->first <= last);
+    merged.first = std::min(merged.first, hi->first);
+    merged.last = std::max(merged.last, hi->last);
+  }
+
+  if (overlaps) {
+    clear(live, first, last);
+  } else {
+    live.insert(std::lower_bound(live.begin(), live.end(), first,
+                                 [](const Candidate& c, std::int64_t v) {
+                                   return c.first < v;
+                                 }),
+                Candidate{first, last, id});
+    mark();
+  }
+
+  f.hot = merged;
+  if (lo == hi) {
+    seen.insert(lo, merged);
+  } else {
+    *lo = merged;
+    seen.erase(lo + 1, hi);
+  }
 }
 
 }  // namespace detail

@@ -26,21 +26,37 @@
 // ReplayLog also wraps a plain in-memory op vector (the materialized
 // reference path), so every simulator below it has exactly one op-source
 // type and the two trace modes cannot drift.
+//
+// One-touch ops.  An op is one-touch when no other op in the log touches
+// any of its (file, 4 KB block) keys.  Every cache misses on each of its
+// blocks and never looks one up again, so the sweep kernels replay it as a
+// counted run of anonymous blocks (BlockCache::insert_run,
+// SegmentedLruStack::insert_run) instead of per-block hash work.  A log
+// built for the sweeps marks its one-touch ops once, in the decode pass it
+// already makes, with one forward scan that keeps per file the merged
+// union of the block ranges seen so far and the candidates still live: an
+// op that misses the union becomes a candidate, and a later op that
+// overlaps a candidate clears it.  The per-config simulators build
+// unmarked logs, so they step every block and stay independent oracles.
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <fstream>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "cache/block_cache.hpp"
 #include "trace/spill.hpp"
 #include "util/check.hpp"
+#include "util/stopwatch.hpp"
+#include "util/units.hpp"
 
 namespace charisma::cache {
 
@@ -62,6 +78,9 @@ struct ReplayOp {
   std::int64_t bytes = 0;
   bool is_read = false;
   bool read_only_session = false;
+  /// No other op of the log touches any of this op's blocks (set only in
+  /// logs that were marked; see ReplayLog).
+  bool one_touch = false;
 };
 
 // Tag-byte bits of the compact op encoding.  Unset "same"/"sequential" bits
@@ -84,6 +103,78 @@ void encode_ops(const ReplayOp* ops, std::size_t n,
 /// std::runtime_error on truncated or malformed input.
 std::size_t decode_ops(const std::uint8_t* data, std::size_t size,
                        std::size_t n, ReplayOp* out);
+
+}  // namespace detail
+
+/// What a log's one-touch marking found (all zero for an unmarked log).
+struct OneTouchStats {
+  std::uint64_t ops = 0;           ///< ops marked one-touch
+  std::uint64_t blocks = 0;        ///< blocks those ops touch
+  std::uint64_t total_blocks = 0;  ///< blocks every op touches, summed
+  double mark_ms = 0.0;            ///< host ms the marking scan took
+
+  /// Share of all block accesses that belong to one-touch ops.
+  [[nodiscard]] double block_frac() const noexcept {
+    return total_blocks != 0 ? static_cast<double>(blocks) /
+                                   static_cast<double>(total_blocks)
+                             : 0.0;
+  }
+};
+
+namespace detail {
+
+/// The one-touch marking scan (see the header comment).  Fed every op of a
+/// log once, in stream order, numbering them from 0.  Memory is one flat
+/// pair of vectors per file: the disjoint ranges seen and the live
+/// candidates.
+class OneTouchMarker {
+ public:
+  /// Marks ops at this block size; the kernels use the marks only when a
+  /// config replays at the same size.
+  static constexpr std::int64_t kBlockSize = util::kBlockSize;
+
+  void add(const ReplayOp* ops, std::size_t n);
+  /// The tallies so far (mark_ms is left to the caller).
+  [[nodiscard]] const OneTouchStats& stats() const noexcept { return stats_; }
+  /// Bit i of word i / 64 is set when op i is one-touch.
+  [[nodiscard]] std::vector<std::uint64_t> take_bits() {
+    return std::move(bits_);
+  }
+
+ private:
+  struct Range {
+    std::int64_t first = 0;
+    std::int64_t last = 0;
+  };
+  struct Candidate {
+    std::int64_t first = 0;
+    std::int64_t last = 0;
+    std::uint64_t op = 0;
+  };
+  struct File {
+    std::vector<Range> seen;      // merged, sorted, non-adjacent
+    std::vector<Candidate> live;  // sorted, disjoint
+    /// A block range the union covers: the range the last op of the file
+    /// merged into.  Ranges only grow, so it stays covered when stale.
+    Range hot{1, 0};
+  };
+
+  /// File ids in [0, kDenseFiles) index a flat vector; others a hash map.
+  static constexpr FileId kDenseFiles = 1 << 20;
+
+  File& file(FileId id);
+  void add(const ReplayOp& op);
+  /// Clears the live candidates that overlap [first, last].
+  void clear(std::vector<Candidate>& live, std::int64_t first,
+             std::int64_t last);
+
+  std::vector<File> dense_;  // by file id
+  // Never iterated, so hash order cannot leak into the marks.
+  std::unordered_map<FileId, File> sparse_;
+  std::vector<std::uint64_t> bits_;
+  std::uint64_t next_ = 0;
+  OneTouchStats stats_;
+};
 
 }  // namespace detail
 
@@ -185,14 +276,16 @@ class ReplayLog {
 
   ReplayLog() = default;
   /// In-memory log; `ops` must carry resolved read_only_session flags.
+  /// Unmarked until mark_one_touch().
   explicit ReplayLog(std::vector<detail::ReplayOp> ops)
       : ops_(std::move(ops)) {}
-  /// Spill-backed log.  `read_only` is consumed here: one decode pass at
-  /// construction resolves every op's read_only_session flag, so the set
-  /// need not outlive the log.  When the spill's budget admitted the
-  /// decoded array (decode_resident()), that pass lands the flat resolved
-  /// ops and traversals run in in-memory mode; otherwise it fills a
-  /// 1-bit-per-op flag array and traversals re-decode chunks.
+  /// Spill-backed log, marked.  `read_only` is consumed here: one decode
+  /// pass at construction resolves every op's read_only_session flag (so
+  /// the set need not outlive the log) and marks the one-touch ops.  When
+  /// the spill's budget admitted the decoded array (decode_resident()),
+  /// that pass lands the flat resolved ops and traversals run in in-memory
+  /// mode; otherwise it fills 1-bit-per-op flag arrays and traversals
+  /// re-decode chunks.
   ReplayLog(ReplayOpSpill spill, const std::set<SessionKey>& read_only)
       : spill_(std::move(spill)),
         file_mode_(true),
@@ -201,6 +294,8 @@ class ReplayLog {
       ops_.reserve(static_cast<std::size_t>(spill_.count()));
       SessionKey last_key{cfs::kNoJob, cfs::kNoFile};
       bool last_read_only = false;
+      detail::OneTouchMarker marker;
+      double ms = 0.0;
       for_each_decoded_chunk([&](detail::ReplayOp* ops, std::size_t n) {
         for (std::size_t i = 0; i < n; ++i) {
           detail::ReplayOp op = ops[i];
@@ -212,12 +307,42 @@ class ReplayLog {
           op.read_only_session = last_read_only;
           ops_.push_back(op);
         }
+        const util::Stopwatch sw;
+        marker.add(ops, n);  // while the chunk is still in cache
+        ms += sw.elapsed_ms();
       });
       spill_ = ReplayOpSpill();  // drop the encoded tier; ops_ is the log
       file_mode_ = false;
+      apply_marks(marker, ms);
       return;
     }
-    resolve_read_only(read_only);
+    resolve_flags(read_only);
+  }
+
+  /// Marks the one-touch ops of an in-memory log (spill-backed logs are
+  /// marked at construction).  Call once, before any traversal.
+  void mark_one_touch() {
+    CHECK(!file_mode_, "a spill-backed log is marked at construction");
+    detail::OneTouchMarker marker;
+    double ms = 0.0;
+    for (std::size_t base = 0; base < ops_.size(); base += kChunkOps) {
+      const util::Stopwatch sw;
+      marker.add(ops_.data() + base, std::min(kChunkOps, ops_.size() - base));
+      ms += sw.elapsed_ms();
+    }
+    apply_marks(marker, ms);
+  }
+
+  /// Whether a kernel replaying at `block_size` may treat `op` as a
+  /// one-touch run: it is marked, and the marks were made at that size.
+  [[nodiscard]] static bool one_touch(const detail::ReplayOp& op,
+                                      std::int64_t block_size) noexcept {
+    return op.one_touch &&
+           block_size == detail::OneTouchMarker::kBlockSize;
+  }
+  /// What the marking found (zeros for an unmarked log).
+  [[nodiscard]] const OneTouchStats& one_touch_stats() const noexcept {
+    return one_touch_;
   }
 
   [[nodiscard]] std::size_t size() const noexcept {
@@ -251,6 +376,7 @@ class ReplayLog {
         const std::uint64_t bit = base + i;
         ops[i].read_only_session =
             (read_only_bits_[bit >> 6] >> (bit & 63)) & 1;
+        ops[i].one_touch = (one_touch_bits_[bit >> 6] >> (bit & 63)) & 1;
       }
       f(static_cast<const detail::ReplayOp*>(ops), n);
       base += n;
@@ -320,16 +446,33 @@ class ReplayLog {
     CHECK(remaining == 0, "replay spill ended short of its declared count");
   }
 
+  /// Sets the flag of the in-memory ops `marker` marked (ops start
+  /// unmarked) and keeps its tallies.
+  void apply_marks(detail::OneTouchMarker& marker, double mark_ms) {
+    one_touch_ = marker.stats();
+    one_touch_.mark_ms = mark_ms;
+    const std::vector<std::uint64_t> bits = marker.take_bits();
+    for (std::size_t w = 0; w < bits.size(); ++w) {
+      for (std::uint64_t b = bits[w]; b != 0; b &= b - 1) {
+        ops_[w * 64 + static_cast<std::size_t>(std::countr_zero(b))]
+            .one_touch = true;
+      }
+    }
+  }
+
   /// One decode pass at construction: memoized set lookups (ops arrive in
   /// bursts for one (job, file), so one lookup covers the run — the memo
   /// survives chunk boundaries even though the decode predictor resets)
-  /// fill a 1-bit-per-op array every traversal then reads for free.
-  void resolve_read_only(const std::set<SessionKey>& read_only) {
+  /// fill a 1-bit-per-op array every traversal then reads for free, and
+  /// the same pass feeds the one-touch marker.
+  void resolve_flags(const std::set<SessionKey>& read_only) {
     read_only_bits_.assign(
         static_cast<std::size_t>((spill_.count() + 63) / 64), 0);
     SessionKey last_key{cfs::kNoJob, cfs::kNoFile};
     bool last_read_only = false;
     std::uint64_t bit = 0;
+    detail::OneTouchMarker marker;
+    double ms = 0.0;
     for_each_decoded_chunk([&](detail::ReplayOp* ops, std::size_t n) {
       for (std::size_t i = 0; i < n; ++i, ++bit) {
         const SessionKey key{ops[i].job, ops[i].file};
@@ -339,13 +482,23 @@ class ReplayLog {
         }
         if (last_read_only) read_only_bits_[bit >> 6] |= 1ull << (bit & 63);
       }
+      const util::Stopwatch sw;
+      marker.add(ops, n);
+      ms += sw.elapsed_ms();
     });
+    one_touch_ = marker.stats();
+    one_touch_.mark_ms = ms;
+    one_touch_bits_ = marker.take_bits();
+    one_touch_bits_.resize(read_only_bits_.size(), 0);
   }
 
   std::vector<detail::ReplayOp> ops_;  // in-memory mode
   ReplayOpSpill spill_;                // spill mode
   /// 1 bit per op (spill mode): the read_only_session flags, baked once.
   std::vector<std::uint64_t> read_only_bits_;
+  /// 1 bit per op (spill mode): the one-touch marks.
+  std::vector<std::uint64_t> one_touch_bits_;
+  OneTouchStats one_touch_;
   bool file_mode_ = false;
   // unique_ptr keeps the log movable; only traversals of disk chunks touch it.
   std::unique_ptr<std::atomic<std::int64_t>> bytes_read_;

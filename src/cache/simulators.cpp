@@ -42,7 +42,12 @@ std::vector<ReplayOp> prepare_replay(const trace::SortedTrace& trace,
   return ops;
 }
 
-bool serve_locally(BlockCache& cache, const ReplayOp& op, BlockSpan span) {
+bool serve_locally(BlockCache& cache, const ReplayOp& op, BlockSpan span,
+                   bool one_touch) {
+  if (one_touch) {
+    cache.insert_run(static_cast<std::uint64_t>(span.last - span.first + 1));
+    return false;
+  }
   bool full_hit = true;
   for (std::int64_t b = span.first; b <= span.last; ++b) {
     if (!cache.contains({op.file, b})) {
@@ -69,7 +74,10 @@ SliceStripes::SliceStripes(int io_nodes, NodeSlice slice) {
     std::uint32_t d = 0;
     while (!slice.owns(static_cast<NodeId>((node + d) % n))) ++d;
     gap_[node] = d;
-    if (d == 0) local_[node] = static_cast<std::uint32_t>(owned_++);
+    if (d == 0) {
+      local_[node] = static_cast<std::uint32_t>(owned_++);
+      node_.push_back(node);
+    }
   }
 }
 
@@ -106,8 +114,10 @@ ComputeCacheResult replay_compute_cache(const ReplayLog& ops,
   // NOLINTNEXTLINE(charisma-shared-capture)
   ops.for_each([&](const ReplayOp& op) {
     if (!op.is_read || !op.read_only_session) return;
-    const bool full_hit = serve_locally(caches.at(op.job, op.node), op,
-                                        span_of(op, config.block_size));
+    const bool full_hit =
+        serve_locally(caches.at(op.job, op.node), op,
+                      span_of(op, config.block_size),
+                      ReplayLog::one_touch(op, config.block_size));
     auto& jc = per_job[op.job];
     ++jc.reads;
     ++out.reads;
@@ -152,13 +162,17 @@ IoNodeSimResult replay_io_cache(const ReplayLog& ops,
   }
   PerNodeCaches compute(config.compute_buffers_per_node, Policy::kLru);
 
+  // IP-aware eviction reads per-block accessor sets, so it never takes runs.
+  const bool runs = config.policy != Policy::kInterprocessAware;
+
   // Audited: ReplayLog traversals run the lambda inline on this thread.
   // NOLINTNEXTLINE(charisma-shared-capture)
   ops.for_each([&](const ReplayOp& op) {
     const BlockSpan span = span_of(op, config.block_size);
+    const bool one_touch = ReplayLog::one_touch(op, config.block_size);
     if (config.compute_buffers_per_node > 0 && op.is_read &&
         op.read_only_session &&
-        serve_locally(compute.at(op.job, op.node), op, span)) {
+        serve_locally(compute.at(op.job, op.node), op, span, one_touch)) {
       ++out.filtered_by_compute;
       return;  // never reaches the I/O nodes
     }
@@ -169,13 +183,24 @@ IoNodeSimResult replay_io_cache(const ReplayLog& ops,
     // the I/O-node caches).
     const std::uint64_t request = out.requests++;
     bool full_hit = true;
-    for (auto w = stripes.start(span.first); w.block <= span.last;
-         w = stripes.next(w)) {
-      ++out.block_accesses;
-      if (io_caches[w.local].access({op.file, w.block}, op.node)) {
-        ++out.block_hits;
-      } else {
+    if (one_touch && runs) {
+      // Every block misses: each owned node takes its share as one run.
+      for (std::size_t local = 0; local < stripes.owned(); ++local) {
+        const std::uint64_t n = stripes.count(local, span.first, span.last);
+        if (n == 0) continue;
+        io_caches[local].insert_run(n);
+        out.block_accesses += n;
         full_hit = false;
+      }
+    } else {
+      for (auto w = stripes.start(span.first); w.block <= span.last;
+           w = stripes.next(w)) {
+        ++out.block_accesses;
+        if (io_caches[w.local].access({op.file, w.block}, op.node)) {
+          ++out.block_hits;
+        } else {
+          full_hit = false;
+        }
       }
     }
     if (misses != nullptr) {
@@ -245,7 +270,8 @@ std::vector<IoNodeSimResult> batched_io_group(
     const BlockSpan span = span_of(op, shape.block_size);
     if (shape.compute_buffers_per_node > 0 && op.is_read &&
         op.read_only_session &&
-        serve_locally(front.at(op.job, op.node), op, span)) {
+        serve_locally(front.at(op.job, op.node), op, span,
+                      ReplayLog::one_touch(op, shape.block_size))) {
       for (std::size_t c = 0; c < n; ++c) ++out[c].filtered_by_compute;
       return;
     }
@@ -475,12 +501,16 @@ SweepPlan plan_io_sweep(const std::vector<IoNodeSimConfig>& configs) {
 
 SweepRunner::SweepRunner(const trace::SortedTrace& trace,
                          const std::set<SessionKey>& read_only)
-    : log_(detail::prepare_replay(trace, read_only)) {}
+    : log_(detail::prepare_replay(trace, read_only)) {
+  log_.mark_one_touch();
+}
 
 SweepRunner::SweepRunner(const trace::SortedTrace& trace,
                          const std::set<SessionKey>& read_only,
                          util::ThreadPool& pool)
-    : log_(detail::prepare_replay(trace, read_only)), pool_(&pool) {}
+    : log_(detail::prepare_replay(trace, read_only)), pool_(&pool) {
+  log_.mark_one_touch();
+}
 
 SweepRunner::SweepRunner(ReplayOpSpill ops,
                          const std::set<SessionKey>& read_only)

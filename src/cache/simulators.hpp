@@ -53,9 +53,10 @@ struct BlockSpan {
 /// Runs a read through one node's front cache with the "fully satisfied
 /// from the local buffer" rule: true when every block it touches was
 /// resident before the request ran.  All blocks are looked up first, then
-/// all are touched.
+/// all are touched.  A one-touch read (ReplayLog::one_touch) cannot hit and
+/// goes in as one run.
 [[nodiscard]] bool serve_locally(BlockCache& cache, const ReplayOp& op,
-                                 BlockSpan span);
+                                 BlockSpan span, bool one_touch);
 
 /// The part of a group pass one sweep work unit simulates: the nodes `n`
 /// with `n % count == index`.  The swept caches are per node (one per I/O
@@ -93,6 +94,21 @@ class SliceStripes {
     return local_[static_cast<std::size_t>(b) % local_.size()];
   }
 
+  /// How many of the blocks [first, last] stripe to the owned node with
+  /// local index `local`: what a walk would reach there, without walking.
+  [[nodiscard]] std::uint64_t count(std::size_t local, std::int64_t first,
+                                    std::int64_t last) const noexcept {
+    const std::size_t nodes = gap_.size();
+    const auto total = static_cast<std::uint64_t>(last - first + 1);
+    // Every node gets total / nodes; the `total % nodes` nodes from
+    // first's own node on get one more.
+    const std::size_t start = static_cast<std::size_t>(first) % nodes;
+    const std::size_t node = node_[local];
+    const std::size_t rank =
+        node >= start ? node - start : node + nodes - start;
+    return total / nodes + (rank < total % nodes ? 1 : 0);
+  }
+
   /// The first owned block at or after `first`.
   [[nodiscard]] Walk start(std::int64_t first) const noexcept {
     return skip({first, static_cast<std::size_t>(first) % gap_.size(), 0});
@@ -116,6 +132,7 @@ class SliceStripes {
 
   std::vector<std::uint32_t> gap_;    // node -> distance to the next owned
   std::vector<std::uint32_t> local_;  // owned node -> dense local index
+  std::vector<std::uint32_t> node_;   // dense local index -> owned node
   std::size_t owned_ = 0;
 };
 
@@ -324,6 +341,9 @@ struct SweepPlan {
 /// planned as one multi-topology pass that replays each shape on its own.
 /// Results are bit-identical to one simulate_compute_cache /
 /// simulate_io_cache call per config (the differential tests enforce it).
+/// Construction marks the log's one-touch ops (cache/replay.hpp), which the
+/// LRU and FIFO kernels and the front caches replay as counted runs; the
+/// per-config simulators never mark, so they step every block.
 ///
 /// A pooled runner executes the planned passes as a flat list of work units:
 /// each pass (each shape, for a kMulti pass) restricted to one node slice
@@ -358,6 +378,13 @@ class SweepRunner {
 
   [[nodiscard]] std::size_t replay_ops() const noexcept {
     return log_.size();
+  }
+
+  /// The replay log's one-touch marks: how many ops and what share of the
+  /// block accesses the kernels replay as counted runs, and the host ms the
+  /// marking took at construction.
+  [[nodiscard]] const OneTouchStats& one_touch() const noexcept {
+    return log_.one_touch_stats();
   }
 
   /// Disk bytes sweep passes have read back from the op spill's overflow

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <map>
 #include <unordered_map>
 
@@ -37,11 +38,7 @@ SegmentedLruStack::SegmentedLruStack(
     nodes_.push_back(s);
   }
   head_ = 0;
-
-  const std::size_t buckets =
-      std::bit_ceil(std::max<std::size_t>(16, max_capacity * 2));
-  slots_.resize(buckets);
-  mask_ = buckets - 1;
+  index_ = detail::BlockIndex(max_capacity);
 }
 
 void SegmentedLruStack::unlink(std::uint32_t idx) {
@@ -75,106 +72,157 @@ void SegmentedLruStack::push_front(std::uint32_t idx) {
   head_ = idx;
 }
 
+std::uint32_t SegmentedLruStack::allocate() {
+  if (!free_.empty()) {
+    const std::uint32_t idx = free_.back();
+    free_.pop_back();
+    return idx;
+  }
+  nodes_.push_back(Node{});
+  return static_cast<std::uint32_t>(nodes_.size() - 1);
+}
+
 void SegmentedLruStack::promote(std::uint32_t idx, std::uint32_t seg) {
   if (head_ == idx) return;  // already the most recent block
   unlink(idx);
-  // Re-fronting pushes every block above the old position one place down,
-  // so exactly one block crosses each boundary the hit came from below.
-  // Segments 0..seg-1 were full (the block sat below them), so each
-  // sentinel's prev is a real block.
-  for (std::uint32_t j = 0; j < seg; ++j) {
-    const std::uint32_t r = nodes_[j].prev;
-    unlink(r);
-    insert_before(nodes_[j].next, r);
-    nodes_[r].seg = j + 1;
-  }
   push_front(idx);
   nodes_[idx].seg = 0;
+  // Re-fronting pushes every block above the old position one place down,
+  // so exactly one block crosses each boundary the hit came from below.
+  // Segments 0..seg-1 were full (the block sat below them).
+  for (std::uint32_t j = 0; j < seg; ++j) shift_boundary(j, 1);
 }
 
-void SegmentedLruStack::insert_cold(const BlockKey& key) {
-  // The new front pushes every resident block one place down: one block
-  // crosses each boundary whose segment is full; past the largest capacity
-  // the block is evicted (indistinguishable from cold from then on).
-  for (std::uint32_t j = 0; j < segments_; ++j) {
-    if (size_ < capacities_[j]) break;
-    const std::uint32_t r = nodes_[j].prev;
-    unlink(r);
-    if (j + 1 == segments_) {  // falls off the largest simulated cache
-      erase_slot_for(nodes_[r].key);
-      free_.push_back(r);
-      --size_;
-      break;
-    }
-    insert_before(nodes_[j].next, r);
-    nodes_[r].seg = j + 1;
-  }
-
-  std::uint32_t idx;
-  if (!free_.empty()) {
-    idx = free_.back();
-    free_.pop_back();
-  } else {
-    idx = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.push_back(Node{});
-  }
+void SegmentedLruStack::insert_cold(const BlockKey& key, std::uint32_t hash) {
+  const std::size_t old_size = size_;
+  const std::uint32_t idx = allocate();
   nodes_[idx].key = key;
   nodes_[idx].seg = 0;
   push_front(idx);
-  ++size_;
-  // Eviction's backward-shift erase may rearrange the probe chain, so the
-  // insertion slot is probed after it rather than reused from the lookup.
-  const std::size_t slot = probe(key);
-  DCHECK(slots_[slot].node == kEmptySlot,
-         "double-insert of block into the stack index");
-  slots_[slot] = Slot{key, idx};
+  settle(old_size, 1);
+  index_.insert(hash, idx);
   DCHECK(size_ <= capacities_.back(), "stack outgrew the largest capacity");
 }
 
+void SegmentedLruStack::insert_run(std::uint64_t n) {
+  if (n == 0) return;
+  // Past the largest capacity every older block is gone and the stack is
+  // all anonymous, whatever n is.
+  const auto units = static_cast<std::size_t>(
+      std::min<std::uint64_t>(n, capacities_.back()));
+  const std::size_t old_size = size_;
+  if (is_run(head_)) {  // a unit node at the head is in segment 0
+    nodes_[head_].key.block += static_cast<std::int64_t>(units);
+  } else {
+    const std::uint32_t idx = allocate();
+    nodes_[idx].key = BlockKey{cfs::kNoFile, static_cast<std::int64_t>(units)};
+    nodes_[idx].seg = 0;
+    push_front(idx);
+  }
+  settle(old_size, units);
+}
+
+void SegmentedLruStack::settle(std::size_t old_size, std::size_t n) {
+  // Boundary j stood min(old_size, c_j) blocks from the top and the push put
+  // n more above it; it belongs min(old_size + n, c_j) from the top.  That
+  // shift is non-increasing in j, so the first boundary that stays put ends
+  // the walk.
+  for (std::uint32_t j = 0; j < segments_; ++j) {
+    const std::size_t at = std::min(old_size, capacities_[j]) + n;
+    const std::size_t want = std::min(old_size + n, capacities_[j]);
+    if (at == want) break;
+    if (j + 1 == segments_) {  // falls off the largest simulated cache
+      evict_tail(at - want);
+    } else {
+      shift_boundary(j, at - want);
+    }
+  }
+  size_ = std::min(old_size + n, capacities_.back());
+}
+
+void SegmentedLruStack::shift_boundary(std::uint32_t j, std::size_t m) {
+  // Walk up from the sentinel over m blocks.  Boundaries settle top-down,
+  // so sentinel j - 1 already sits at its final place, at or above the
+  // landing point: the walk meets only block and run nodes.
+  const std::uint32_t below = nodes_[j].next;
+  std::uint32_t at = nodes_[j].prev;
+  std::uint32_t landing = kNil;
+  for (;;) {
+    DCHECK(at >= segments_, "boundary walk ran into a sentinel");
+    if (is_run(at)) {
+      const auto units = static_cast<std::size_t>(nodes_[at].key.block);
+      if (units > m) {
+        // The sentinel lands inside the run: its last m blocks cross.
+        nodes_[at].key.block -= static_cast<std::int64_t>(m);
+        const std::uint32_t split = allocate();
+        nodes_[split].key =
+            BlockKey{cfs::kNoFile, static_cast<std::int64_t>(m)};
+        nodes_[split].seg = j + 1;
+        insert_before(nodes_[at].next, split);
+        landing = split;
+        break;
+      }
+      m -= units;
+    } else {
+      --m;
+    }
+    nodes_[at].seg = j + 1;
+    landing = at;
+    if (m == 0) break;
+    at = nodes_[at].prev;
+  }
+  unlink(j);
+  insert_before(landing, j);
+  // The crossed nodes now run straight into segment j + 1's old head; two
+  // runs meeting there merge so the list stays short.
+  const std::uint32_t last = nodes_[below].prev;
+  if (is_run(below) && is_run(last)) {
+    nodes_[last].key.block += nodes_[below].key.block;
+    unlink(below);
+    free_.push_back(below);
+  }
+}
+
+void SegmentedLruStack::evict_tail(std::size_t m) {
+  const auto last = static_cast<std::uint32_t>(segments_ - 1);
+  while (m > 0) {
+    const std::uint32_t at = nodes_[last].prev;
+    DCHECK(at >= segments_, "eviction walk ran into a sentinel");
+    Node& n = nodes_[at];
+    if (is_run(at)) {
+      const auto taken = std::min(m, static_cast<std::size_t>(n.key.block));
+      n.key.block -= static_cast<std::int64_t>(taken);
+      m -= taken;
+      if (n.key.block > 0) break;
+    } else {
+      index_.erase(detail::block_hash(n.key), at);
+      --m;
+    }
+    unlink(at);
+    free_.push_back(at);
+  }
+}
+
 void SegmentedLruStack::touch(const BlockKey& key) {
-  const std::size_t slot = probe(key);
-  if (slots_[slot].node != kEmptySlot) {
-    const std::uint32_t idx = slots_[slot].node;
+  const std::uint32_t hash = detail::block_hash(key);
+  const std::uint32_t idx = find(key, hash);
+  if (idx != kNil) {
     promote(idx, nodes_[idx].seg);
   } else {
-    insert_cold(key);
+    insert_cold(key, hash);
   }
 }
 
 std::size_t SegmentedLruStack::access(const BlockKey& key) {
-  const std::size_t slot = probe(key);
-  if (slots_[slot].node != kEmptySlot) {
-    const std::uint32_t idx = slots_[slot].node;
+  const std::uint32_t hash = detail::block_hash(key);
+  const std::uint32_t idx = find(key, hash);
+  if (idx != kNil) {
     const std::uint32_t seg = nodes_[idx].seg;
     promote(idx, seg);
     return seg + zero_offset_;
   }
-  insert_cold(key);
-  return segments_ + zero_offset_;
-}
-
-void SegmentedLruStack::erase_slot_for(const BlockKey& key) {
-  std::size_t gap = probe(key);
-  CHECK(slots_[gap].node != kEmptySlot, "evicted block (file=", key.file,
-        ", block=", key.block, ") missing from the stack index");
-  // Backward-shift deletion, as in BlockCache: pull chain entries back over
-  // the gap so lookups never need tombstones.
-  std::size_t scan = gap;
-  for (;;) {
-    slots_[gap].node = kEmptySlot;
-    for (;;) {
-      scan = (scan + 1) & mask_;
-      if (slots_[scan].node == kEmptySlot) return;
-      const std::size_t home = BlockKeyHash{}(slots_[scan].key) & mask_;
-      const bool movable = (scan > gap) ? (home <= gap || home > scan)
-                                        : (home <= gap && home > scan);
-      if (movable) {
-        slots_[gap] = slots_[scan];
-        gap = scan;
-        break;
-      }
-    }
-  }
+  insert_cold(key, hash);
+  return miss_bucket();
 }
 
 namespace detail {
@@ -321,11 +369,16 @@ ComputeBuckets stack_compute_slice(
     // the stack state at request start (peek), and only then does the
     // request touch them.
     std::size_t worst = 0;
-    for (std::int64_t b = first; b <= last; ++b) {
-      worst = std::max(worst, stack.peek({op.file, b}));
-    }
-    for (std::int64_t b = first; b <= last; ++b) {
-      stack.touch({op.file, b});
+    if (ReplayLog::one_touch(op, block_size)) {
+      worst = stack.miss_bucket();  // fresh blocks miss every capacity
+      stack.insert_run(static_cast<std::uint64_t>(last - first + 1));
+    } else {
+      for (std::int64_t b = first; b <= last; ++b) {
+        worst = std::max(worst, stack.peek({op.file, b}));
+      }
+      for (std::int64_t b = first; b <= last; ++b) {
+        stack.touch({op.file, b});
+      }
     }
     if (last_buckets == nullptr || op.job != last_job) {
       auto [it, inserted] = out.per_job.try_emplace(op.job);
@@ -415,9 +468,10 @@ std::vector<IoNodeSimResult> stack_io_group(
   // NOLINTNEXTLINE(charisma-shared-capture)
   ops.for_each([&](const ReplayOp& op) {
     const BlockSpan span = span_of(op, shape.block_size);
+    const bool one_touch = ReplayLog::one_touch(op, shape.block_size);
     if (shape.compute_buffers_per_node > 0 && op.is_read &&
         op.read_only_session &&
-        serve_locally(front.at(op.job, op.node), op, span)) {
+        serve_locally(front.at(op.job, op.node), op, span, one_touch)) {
       ++filtered;
       return;  // never reaches the I/O nodes
     }
@@ -429,12 +483,24 @@ std::vector<IoNodeSimResult> stack_io_group(
     // replay does, since each block access updates the cache before the
     // next block of the same request is looked up.
     std::size_t worst = 0;
-    for (auto w = stripes.start(span.first); w.block <= span.last;
-         w = stripes.next(w)) {
-      const std::size_t d = nodes[w.local].access({op.file, w.block});
-      ++block_accesses;
-      ++block_buckets[d];
-      worst = std::max(worst, d);
+    if (one_touch) {
+      // Every block lands in the miss bucket (k): one run per owned node.
+      for (std::size_t local = 0; local < stripes.owned(); ++local) {
+        const std::uint64_t n = stripes.count(local, span.first, span.last);
+        if (n == 0) continue;
+        nodes[local].insert_run(n);
+        block_accesses += n;
+        block_buckets[k] += n;
+        worst = k;
+      }
+    } else {
+      for (auto w = stripes.start(span.first); w.block <= span.last;
+           w = stripes.next(w)) {
+        const std::size_t d = nodes[w.local].access({op.file, w.block});
+        ++block_accesses;
+        ++block_buckets[d];
+        worst = std::max(worst, d);
+      }
     }
     if (misses != nullptr) {
       // Worst bucket w: capacities 0..w-1 missed.
@@ -480,9 +546,10 @@ std::vector<IoNodeSimResult> fifo_io_group(
   // the last `capacity` insertions.  Evictions never write anything, and one
   // probe of the shared table reaches every capacity's stamp for the block
   // (a block always stripes to the same I/O node, so its queues are fixed).
-  // 32-bit stamps are safe: a queue sees at most one insertion per block
-  // access, and traces are far below 2^32 block accesses per node.  Queues
-  // are kept for the owned I/O nodes only, by local index.
+  // Stamps are 32-bit and 0 means "never inserted", so a queue's counter
+  // must not wrap: every add is checked (a queue sees at most one
+  // insertion per block access).  Queues are kept for the owned I/O nodes
+  // only, by local index.
   // 2^16 starting buckets for all I/O nodes; a slice starts at its share.
   FifoSeqTable table(
       k, std::bit_ceil(std::max<std::size_t>(
@@ -503,35 +570,61 @@ std::vector<IoNodeSimResult> fifo_io_group(
   std::vector<std::uint64_t> block_hits(k, 0);
   std::vector<std::uint64_t> request_hits(k, 0);
   const auto all = static_cast<std::uint16_t>((1u << k) - 1);
+  // Adds n insertions to queue counter `ins`.
+  const auto insert = [](std::uint32_t& ins, std::uint64_t n) {
+    CHECK(n <= std::numeric_limits<std::uint32_t>::max() - ins,
+          "FIFO queue stamp would wrap: ", ins, " + ", n,
+          " insertions exceed 32 bits");
+    ins += static_cast<std::uint32_t>(n);
+  };
 
   // Audited: ReplayLog traversals run the lambda inline on this thread.
   // NOLINTNEXTLINE(charisma-shared-capture)
   ops.for_each([&](const ReplayOp& op) {
     const BlockSpan span = span_of(op, shape.block_size);
+    const bool one_touch = ReplayLog::one_touch(op, shape.block_size);
     if (shape.compute_buffers_per_node > 0 && op.is_read &&
         op.read_only_session &&
-        serve_locally(front.at(op.job, op.node), op, span)) {
+        serve_locally(front.at(op.job, op.node), op, span, one_touch)) {
       ++filtered;
       return;
     }
 
     const std::uint64_t request = requests++;
     std::uint16_t miss = 0;  // bit c: capacity c missed a block
-    for (auto w = stripes.start(span.first); w.block <= span.last;
-         w = stripes.next(w)) {
-      ++block_accesses;
-      std::uint32_t* seq = table.at({op.file, w.block}, live);
-      std::uint32_t* ins = &insertions[w.local * k];
-      for (std::size_t c = 0; c < k; ++c) {
-        // Stamp 0 means "never inserted"; a stale stamp (>= capacity
-        // insertions ago) means the block has been implicitly evicted.
-        if (seq[c] != 0 && ins[c] - seq[c] < per_node_buffers[c]) {
-          ++block_hits[c];
-          continue;  // FIFO: a hit leaves the cache untouched
+    if (one_touch) {
+      // Fresh blocks miss everywhere and are never looked up again: they
+      // only advance their queues, and need no stamps.
+      for (std::size_t local = 0; local < stripes.owned(); ++local) {
+        const std::uint64_t n = stripes.count(local, span.first, span.last);
+        if (n == 0) continue;
+        block_accesses += n;
+        std::uint32_t* ins = &insertions[local * k];
+        for (std::size_t c = 0; c < k; ++c) {
+          if (per_node_buffers[c] != 0) insert(ins[c], n);
         }
-        miss |= static_cast<std::uint16_t>(1u << c);
-        // A zero capacity never hits and never stores.
-        if (per_node_buffers[c] != 0) seq[c] = ++ins[c];
+        miss = all;
+      }
+    } else {
+      for (auto w = stripes.start(span.first); w.block <= span.last;
+           w = stripes.next(w)) {
+        ++block_accesses;
+        std::uint32_t* seq = table.at({op.file, w.block}, live);
+        std::uint32_t* ins = &insertions[w.local * k];
+        for (std::size_t c = 0; c < k; ++c) {
+          // Stamp 0 means "never inserted"; a stale stamp (>= capacity
+          // insertions ago) means the block has been implicitly evicted.
+          if (seq[c] != 0 && ins[c] - seq[c] < per_node_buffers[c]) {
+            ++block_hits[c];
+            continue;  // FIFO: a hit leaves the cache untouched
+          }
+          miss |= static_cast<std::uint16_t>(1u << c);
+          // A zero capacity never hits and never stores.
+          if (per_node_buffers[c] != 0) {
+            insert(ins[c], 1);
+            seq[c] = ins[c];
+          }
+        }
       }
     }
     if (misses != nullptr) {

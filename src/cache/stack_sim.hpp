@@ -20,6 +20,17 @@
 // repair at all, making the per-access cost comparable to a single
 // BlockCache access instead of one per swept capacity.
 //
+// Blocks of one-touch requests (see ReplayLog) enter as runs: one list node
+// counting n anonymous blocks, never indexed, since no later access can hit
+// them.  Inserting n blocks at the top shifts every boundary by up to n
+// places, so instead of cascading blocks down one at a time the stack moves
+// each sentinel up by the number of blocks that cross it: the nodes it
+// passes are relabelled into the next segment, a run it lands inside is
+// split in two, and adjacent runs of one segment are merged.  Past the
+// largest capacity the crossing blocks are evicted; a run loses them by
+// count.  A run insert costs O(segments + crossing nodes), not
+// O(n x segments), and a hit or a single miss is the same walk with n = 1.
+//
 // FIFO has no inclusion property (a bigger FIFO cache is not a superset of
 // a smaller one), so each capacity's cache must be stepped individually —
 // but FIFO never reorders on a hit, so an inserted block survives exactly
@@ -29,6 +40,8 @@
 // block holding its stamps for all capacities, so presence is a stamp
 // comparison, evictions write nothing, and one probe per block access
 // covers every config instead of one full hash-map per config per pass.
+// A one-touch request only advances its queues (ins += n) and writes no
+// stamp.  The 32-bit queue counters are checked against wrapping.
 // The IP-aware policy (stateful eviction scans) stays on the generic
 // batched replay in simulators.cpp.
 #pragma once
@@ -52,63 +65,75 @@ class SegmentedLruStack {
   /// Bucket the access would land in, without touching the stack — the
   /// compute-node simulation's contains-before-access semantics.
   [[nodiscard]] std::size_t peek(const BlockKey& key) const {
-    const std::size_t slot = probe(key);
-    if (slots_[slot].node == kEmptySlot) return miss_bucket();
-    return nodes_[slots_[slot].node].seg + zero_offset_;
+    const std::uint32_t idx = find(key, detail::block_hash(key));
+    return idx == kNil ? miss_bucket() : nodes_[idx].seg + zero_offset_;
   }
   /// Moves (or inserts) the block to the top of the stack.
   void touch(const BlockKey& key);
   /// peek + touch with a single probe — the I/O-node simulation's
   /// access-as-you-go semantics.
   std::size_t access(const BlockKey& key);
+  /// Inserts `n` blocks that are never accessed again (a one-touch run):
+  /// the same stack as `n` accesses to fresh keys, each of which would land
+  /// in miss_bucket(), in time linear in segments plus the list nodes that
+  /// cross a boundary.
+  void insert_run(std::uint64_t n);
 
   /// The miss bucket: the number of swept capacities (a zero capacity,
   /// which can never hit, counts here but gets no segment).
   [[nodiscard]] std::size_t miss_bucket() const noexcept {
     return segments_ + zero_offset_;
   }
+  /// Resident blocks, run members included.
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
  private:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-  static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
+  static constexpr std::uint32_t kNil = detail::BlockIndex::kAbsent;
 
-  /// Slab node: real blocks and the per-capacity boundary sentinels share
-  /// the recency list.  Sentinel i (slab index i < segments_) sits right
-  /// after the last block that capacity capacities[i] would hold.
+  /// Slab node: real blocks, runs and the per-capacity boundary sentinels
+  /// share the recency list.  Sentinel i (slab index i < segments_) sits
+  /// right after the last block that capacity capacities[i] would hold.  A
+  /// run node (key.file == kNoFile past the sentinels) stands for key.block
+  /// anonymous blocks of one segment.
   struct Node {
     BlockKey key;
     std::uint32_t prev = kNil;
     std::uint32_t next = kNil;
     std::uint32_t seg = 0;
   };
-  struct Slot {
-    BlockKey key;
-    std::uint32_t node = kEmptySlot;
-  };
 
-  [[nodiscard]] std::size_t probe(const BlockKey& key) const {
-    std::size_t i = BlockKeyHash{}(key) & mask_;
-    while (slots_[i].node != kEmptySlot && !(slots_[i].key == key)) {
-      i = (i + 1) & mask_;
-    }
-    return i;
+  [[nodiscard]] std::uint32_t find(const BlockKey& key,
+                                   std::uint32_t hash) const {
+    return index_.find(hash, [&](std::uint32_t idx) {
+      return nodes_[idx].key == key;
+    });
+  }
+  [[nodiscard]] bool is_run(std::uint32_t idx) const noexcept {
+    return idx >= segments_ && nodes_[idx].key.file == cfs::kNoFile;
   }
   void unlink(std::uint32_t idx);
   void insert_before(std::uint32_t pos, std::uint32_t idx);
   void push_front(std::uint32_t idx);
-  void erase_slot_for(const BlockKey& key);
+  /// A slab node for a new list entry: a freed one, else a fresh one.
+  std::uint32_t allocate();
   /// Re-front an existing node from segment `seg` (hit path).
   void promote(std::uint32_t idx, std::uint32_t seg);
-  /// Inserts a new block at the front, cascading one block across each full
-  /// boundary and evicting past the largest capacity.
-  void insert_cold(const BlockKey& key);
+  /// Inserts a new block at the front.
+  void insert_cold(const BlockKey& key, std::uint32_t hash);
+  /// After `n` new blocks went in at the front of a stack that held
+  /// `old_size`, moves every boundary back to its capacity and evicts what
+  /// fell past the largest one.
+  void settle(std::size_t old_size, std::size_t n);
+  /// Moves sentinel `j` (not the last) up by `m` blocks: the nodes it passes
+  /// join segment j + 1, and a run it lands inside is split.
+  void shift_boundary(std::uint32_t j, std::size_t m);
+  /// Evicts the `m` blocks right above the last sentinel.
+  void evict_tail(std::size_t m);
 
   std::vector<std::size_t> capacities_;  // nonzero, strictly increasing
   std::size_t segments_ = 0;             // == capacities_.size()
   std::size_t zero_offset_ = 0;          // 1 when a zero capacity was swept
-  std::size_t mask_ = 0;
-  std::vector<Slot> slots_;
+  detail::BlockIndex index_;
   std::vector<Node> nodes_;  // [0, segments_) sentinels, rest blocks
   std::vector<std::uint32_t> free_;
   std::uint32_t head_ = kNil;

@@ -135,5 +135,46 @@ TEST(FifoGroup, MatchesBlockCacheOnARandomStream) {
   }
 }
 
+// The FIFO group pass stamps insertions with a 32-bit per-queue counter in
+// which 0 means "never inserted", so the counter must never wrap.  A
+// one-touch run advances it in one step, which lets a test drive a queue
+// to the last stamp: it still works there, and one more insertion throws
+// instead of silently reporting a resident block as absent.
+TEST(FifoGroup, StampCounterStopsAtTheEdge) {
+  IoNodeSimConfig shape;
+  shape.io_nodes = 1;
+  shape.policy = Policy::kFifo;
+  const auto block_op = [&](cfs::FileId file, std::int64_t first,
+                            std::int64_t blocks) {
+    detail::ReplayOp op;
+    op.file = file;
+    op.job = 1;
+    op.offset = first * shape.block_size;
+    op.bytes = blocks * shape.block_size;
+    return op;
+  };
+  // 2^32 - 2 one-touch insertions, then one real insertion takes the last
+  // stamp (2^32 - 1) and is hit afterwards.
+  std::vector<detail::ReplayOp> ops = {
+      block_op(1, 0, (std::int64_t{1} << 32) - 2), block_op(2, 0, 1),
+      block_op(2, 0, 1)};
+  ReplayLog at_edge(ops);
+  at_edge.mark_one_touch();
+  ASSERT_EQ(at_edge.one_touch_stats().ops, 1u);
+  const auto results = detail::fifo_io_group(at_edge, shape, {1, 4});
+  for (const IoNodeSimResult& r : results) {
+    EXPECT_EQ(r.requests, 3u);
+    EXPECT_EQ(r.block_hits, 1u);
+    EXPECT_EQ(r.request_hits, 1u);
+    EXPECT_EQ(r.block_accesses, (std::uint64_t{1} << 32));
+  }
+
+  ops.push_back(block_op(3, 0, 1));  // one insertion too many
+  ReplayLog past_edge(ops);
+  past_edge.mark_one_touch();
+  EXPECT_THROW((void)detail::fifo_io_group(past_edge, shape, {1, 4}),
+               util::CheckFailure);
+}
+
 }  // namespace
 }  // namespace charisma::cache

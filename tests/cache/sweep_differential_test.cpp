@@ -7,19 +7,26 @@
 // 1 / 2 / 3 / 4 / 8 threads (a pooled runner splits each pass into I/O-node
 // slices; 3 and 4 do not divide the 10 I/O nodes).  "Bit-identical" means
 // every counter and every derived double, including the full per-job
-// hit-rate CDF.
+// hit-rate CDF.  A second fixture replays the Daly checkpoint source, whose
+// ops are all one-touch: there every kernel runs on counted runs only.
 //
 // This is the contract that lets the grouped runner be the only sweep path
 // (figures, benches, the perf harness) without a fidelity re-audit: same
 // bits in, same bits out, only faster.
+//
+// The OneTouch tests here check the runner's one-touch marks on both logs
+// against a brute-force count of every block's accessing ops.
 #include <gtest/gtest.h>
 
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/session.hpp"
 #include "cache/simulators.hpp"
 #include "core/study.hpp"
 #include "util/thread_pool.hpp"
+#include "util/units.hpp"
+#include "workload/source.hpp"
 
 namespace charisma::cache {
 namespace {
@@ -27,9 +34,9 @@ namespace {
 constexpr double kScale = 0.05;
 constexpr std::uint64_t kSeed = 42;
 
-/// One real study shared by every test in the binary; the reference results
-/// are computed once (one direct simulation per config) and reused by each
-/// comparison.
+/// One real study shared by every test of its source; the reference
+/// results are computed once (one direct simulation per config) and reused
+/// by each comparison.
 struct Fixture {
   core::StudyOutput output;
   std::set<SessionKey> read_only;
@@ -38,18 +45,18 @@ struct Fixture {
   std::vector<ComputeCacheResult> compute_reference;
   std::vector<IoNodeSimResult> io_reference;
 
-  Fixture() : output(core::run_study_at_scale(kScale, kSeed)) {
+  explicit Fixture(const core::StudyConfig& config)
+      : output(core::run_study(config)) {
     const analysis::SessionStore store(output.sorted);
     read_only = store.read_only_sessions();
     compute_configs = make_compute_configs();
     io_configs = make_io_configs();
-    for (const ComputeCacheConfig& config : compute_configs) {
+    for (const ComputeCacheConfig& c : compute_configs) {
       compute_reference.push_back(
-          simulate_compute_cache(output.sorted, read_only, config));
+          simulate_compute_cache(output.sorted, read_only, c));
     }
-    for (const IoNodeSimConfig& config : io_configs) {
-      io_reference.push_back(
-          simulate_io_cache(output.sorted, read_only, config));
+    for (const IoNodeSimConfig& c : io_configs) {
+      io_reference.push_back(simulate_io_cache(output.sorted, read_only, c));
     }
   }
 
@@ -99,8 +106,23 @@ struct Fixture {
   }
 };
 
+core::StudyConfig study_config(const std::string& source) {
+  core::StudyConfig config;
+  config.workload.scale = kScale;
+  config.workload.seed = kSeed;
+  config.source = workload::parse_source_spec(source);
+  return config;
+}
+
 const Fixture& fixture() {
-  static const Fixture f;
+  static const Fixture f(study_config("synthetic"));
+  return f;
+}
+
+/// The Daly checkpoint-restart source: few multi-MB sequential writes that
+/// never touch a block twice.
+const Fixture& checkpoint_fixture() {
+  static const Fixture f(study_config("checkpoint"));
   return f;
 }
 
@@ -140,8 +162,8 @@ void expect_identical(const IoNodeSimResult& a, const IoNodeSimResult& b,
   EXPECT_EQ(a.describe(), b.describe());
 }
 
-void expect_matches_reference(const SweepRunner& runner) {
-  const Fixture& f = fixture();
+void expect_matches_reference(const SweepRunner& runner,
+                              const Fixture& f = fixture()) {
   const auto compute = runner.run_compute(f.compute_configs);
   ASSERT_EQ(compute.size(), f.compute_configs.size());
   for (std::size_t i = 0; i < compute.size(); ++i) {
@@ -200,6 +222,91 @@ TEST(SweepDifferential, PlansCoverEveryConfigWithFewerPasses) {
   EXPECT_EQ(multi_passes, 1u);
   EXPECT_EQ(io_plan.passes(), 4u);
   EXPECT_FALSE(io_plan.describe().empty());
+}
+
+TEST(SweepDifferential, CheckpointLogMatchesPerConfig) {
+  // Every op of the checkpoint log is one-touch, so the grouped kernels
+  // replay it on counted runs alone, against references that step every
+  // block.
+  const Fixture& f = checkpoint_fixture();
+  const SweepRunner serial(f.output.sorted, f.read_only);
+  ASSERT_GT(serial.replay_ops(), 0u);
+  EXPECT_EQ(serial.one_touch().ops, serial.replay_ops());
+  EXPECT_EQ(serial.one_touch().block_frac(), 1.0);
+  expect_matches_reference(serial, f);
+  for (const std::size_t threads : {3u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    util::ThreadPool pool(threads);
+    const SweepRunner runner(f.output.sorted, f.read_only, pool);
+    expect_matches_reference(runner, f);
+  }
+}
+
+/// Per op, whether it is one-touch, by brute force: count the ops that
+/// touch each (file, block) key, and an op is one-touch when all its keys
+/// count one.
+std::vector<bool> brute_force_one_touch(
+    const std::vector<detail::ReplayOp>& ops) {
+  std::unordered_map<BlockKey, std::uint32_t, BlockKeyHash> touches;
+  for (const detail::ReplayOp& op : ops) {
+    const detail::BlockSpan span = detail::span_of(op, util::kBlockSize);
+    for (std::int64_t b = span.first; b <= span.last; ++b) {
+      ++touches[{op.file, b}];
+    }
+  }
+  std::vector<bool> out;
+  for (const detail::ReplayOp& op : ops) {
+    const detail::BlockSpan span = detail::span_of(op, util::kBlockSize);
+    bool once = true;
+    for (std::int64_t b = span.first; b <= span.last && once; ++b) {
+      once = touches[{op.file, b}] == 1;
+    }
+    out.push_back(once);
+  }
+  return out;
+}
+
+/// The marks a sweep runner's log carries and its tallies both equal the
+/// brute-force count.
+void expect_marks_match_brute_force(const Fixture& f) {
+  const auto ops = detail::prepare_replay(f.output.sorted, f.read_only);
+  const std::vector<bool> want = brute_force_one_touch(ops);
+  ReplayLog log(ops);
+  log.mark_one_touch();
+  std::vector<bool> got;
+  // Audited: ReplayLog traversals run the lambda inline on this thread.
+  // NOLINTNEXTLINE(charisma-shared-capture)
+  log.for_each([&got](const auto& op) { got.push_back(op.one_touch); });
+  ASSERT_EQ(got.size(), want.size());
+  OneTouchStats tally;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "op " << i;
+    const detail::BlockSpan span = detail::span_of(ops[i], util::kBlockSize);
+    const auto blocks = static_cast<std::uint64_t>(span.last - span.first + 1);
+    tally.total_blocks += blocks;
+    if (want[i]) {
+      ++tally.ops;
+      tally.blocks += blocks;
+    }
+  }
+  const SweepRunner runner(f.output.sorted, f.read_only);
+  EXPECT_EQ(runner.one_touch().ops, tally.ops);
+  EXPECT_EQ(runner.one_touch().blocks, tally.blocks);
+  EXPECT_EQ(runner.one_touch().total_blocks, tally.total_blocks);
+  EXPECT_GE(runner.one_touch().mark_ms, 0.0);
+}
+
+TEST(OneTouch, MarksMatchBruteForceOnTheSyntheticLog) {
+  const Fixture& f = fixture();
+  expect_marks_match_brute_force(f);
+  // The synthetic log mixes both kinds of op.
+  const SweepRunner runner(f.output.sorted, f.read_only);
+  EXPECT_GT(runner.one_touch().ops, 0u);
+  EXPECT_LT(runner.one_touch().ops, runner.replay_ops());
+}
+
+TEST(OneTouch, MarksMatchBruteForceOnTheCheckpointLog) {
+  expect_marks_match_brute_force(checkpoint_fixture());
 }
 
 }  // namespace

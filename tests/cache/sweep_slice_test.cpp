@@ -213,7 +213,8 @@ TEST(SweepSlices, DiskBackedLogMatchesPerConfigAtThreeAndFourThreads) {
 TEST(SweepSlices, StripesPartitionEveryRequest) {
   // Over 10 I/O nodes, the slices of 1..10 each own a disjoint set of
   // nodes, and together they visit every block of a request exactly once,
-  // each in block order, with dense local indices.
+  // each in block order, with dense local indices; count() agrees with the
+  // walk per node.
   for (std::uint32_t count = 1; count <= 10; ++count) {
     std::vector<int> visits(64, 0);
     std::size_t owned = 0;
@@ -221,7 +222,9 @@ TEST(SweepSlices, StripesPartitionEveryRequest) {
       const detail::SliceStripes stripes(10, {index, count});
       owned += stripes.owned();
       std::int64_t prev = -1;
+      std::vector<std::uint64_t> per_local(stripes.owned(), 0);
       for (auto w = stripes.start(3); w.block <= 60; w = stripes.next(w)) {
+        ++per_local[w.local];
         EXPECT_GT(w.block, prev);
         prev = w.block;
         EXPECT_EQ(static_cast<std::uint32_t>(w.block % 10) % count, index);
@@ -229,6 +232,11 @@ TEST(SweepSlices, StripesPartitionEveryRequest) {
         EXPECT_EQ(w.local, stripes.local(w.block));
         EXPECT_LT(w.local, stripes.owned());
         ++visits[static_cast<std::size_t>(w.block)];
+      }
+      // count() gives each owned node's share without walking.
+      for (std::size_t local = 0; local < stripes.owned(); ++local) {
+        EXPECT_EQ(stripes.count(local, 3, 60), per_local[local])
+            << "local " << local << ", " << count << " slices";
       }
     }
     EXPECT_EQ(owned, 10u) << count << " slices";
