@@ -12,8 +12,8 @@ namespace {
 void reproduce() {
   auto& ctx = Context::instance();
   core::CollectiveConfig cfg;
-  cfg.io_nodes = ctx.study().raw.header.io_nodes;
-  const auto stats = core::analyze_disk_directed(ctx.study().sorted, cfg);
+  cfg.io_nodes = ctx.study().header.io_nodes;
+  const auto stats = core::analyze_disk_directed(ctx.trace(), cfg);
   std::printf("%s\n", stats.render().c_str());
 
   Comparison cmp("Ablation E: disk-directed I/O (S5)");
@@ -34,7 +34,7 @@ void BM_DiskDirectedAnalysis(benchmark::State& state) {
   cfg.io_nodes = 10;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::analyze_disk_directed(ctx.study().sorted, cfg));
+        core::analyze_disk_directed(ctx.trace(), cfg));
   }
 }
 BENCHMARK(BM_DiskDirectedAnalysis)->Unit(benchmark::kMillisecond);

@@ -7,29 +7,39 @@
 namespace charisma::bench {
 namespace {
 
-double run(std::size_t buffers, cache::Policy policy) {
-  auto& ctx = Context::instance();
-  cache::IoNodeSimConfig cfg;
-  cfg.total_buffers = buffers;
-  cfg.policy = policy;
-  cfg.io_nodes = 10;
-  return cache::simulate_io_cache(ctx.study().sorted, ctx.read_only(), cfg)
-      .hit_rate;
-}
+constexpr std::size_t kBuffers[] = {100, 250, 500, 1000, 2000, 4000, 8000};
+constexpr cache::Policy kPolicies[] = {cache::Policy::kLru,
+                                       cache::Policy::kFifo,
+                                       cache::Policy::kInterprocessAware};
 
 void reproduce() {
+  // Every (buffers, policy) point in one sweep; results come back in config
+  // order, buffers-major, for every --threads.
+  std::vector<cache::IoNodeSimConfig> configs;
+  for (const std::size_t buffers : kBuffers) {
+    for (const cache::Policy policy : kPolicies) {
+      cache::IoNodeSimConfig cfg;
+      cfg.total_buffers = buffers;
+      cfg.policy = policy;
+      cfg.io_nodes = 10;
+      configs.push_back(cfg);
+    }
+  }
+  const std::vector<cache::IoNodeSimResult> results =
+      Context::instance().sweeps().run_io(configs);
+
   util::Table t({"4K buffers", "LRU", "FIFO", "IP-aware"});
   double best_gain = 0.0;
   std::size_t best_at = 0;
-  for (std::size_t buffers : {100u, 250u, 500u, 1000u, 2000u, 4000u, 8000u}) {
-    const double lru = run(buffers, cache::Policy::kLru);
-    const double fifo = run(buffers, cache::Policy::kFifo);
-    const double ip = run(buffers, cache::Policy::kInterprocessAware);
-    t.add_row({std::to_string(buffers), util::fmt(lru, 3),
+  for (std::size_t i = 0; i < std::size(kBuffers); ++i) {
+    const double lru = results[3 * i].hit_rate;
+    const double fifo = results[3 * i + 1].hit_rate;
+    const double ip = results[3 * i + 2].hit_rate;
+    t.add_row({std::to_string(kBuffers[i]), util::fmt(lru, 3),
                util::fmt(fifo, 3), util::fmt(ip, 3)});
     if (ip - lru > best_gain) {
       best_gain = ip - lru;
-      best_at = buffers;
+      best_at = kBuffers[i];
     }
   }
   std::printf("%s\n", t.render().c_str());
@@ -52,7 +62,7 @@ void BM_PolicySim(benchmark::State& state) {
   cfg.policy = static_cast<cache::Policy>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        cache::simulate_io_cache(ctx.study().sorted, ctx.read_only(), cfg));
+        cache::simulate_io_cache(ctx.trace(), ctx.read_only(), cfg));
   }
 }
 BENCHMARK(BM_PolicySim)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);

@@ -1,8 +1,28 @@
 #include "common.hpp"
 
+#include <filesystem>
+
 #include "util/check.hpp"
 
 namespace charisma::bench {
+
+namespace {
+
+/// Collects the postprocessed records the merge pushes, in order: the
+/// benches' one whole-trace buffer, for the kernels that still take a
+/// record vector (see Context::trace()).
+class RecordCollector final : public trace::RecordSink {
+ public:
+  explicit RecordCollector(trace::SortedTrace& out) : out_(out) {}
+  void on_record(const trace::Record& r) override {
+    out_.records.push_back(r);
+  }
+
+ private:
+  trace::SortedTrace& out_;
+};
+
+}  // namespace
 
 Context& Context::instance() {
   static Context ctx;
@@ -21,10 +41,11 @@ void Context::configure(double scale, std::uint64_t seed,
   threads_ = threads;
   configured_ = true;
   built_ = false;
-  sweeps_.reset();  // borrows read_only_ and pool_; must go first
-  read_only_.reset();
-  store_.reset();
+  sweeps_.reset();  // runs on pool_; must go first
   study_.reset();
+  trace_ = {};
+  read_only_.clear();
+  strided_ = {};
   pool_.reset();
 }
 
@@ -34,29 +55,47 @@ void Context::ensure() {
   std::printf("[charisma] running study at scale %.3f (seed %llu)...\n",
               scale_, static_cast<unsigned long long>(seed_));
   std::fflush(stdout);
-  study_ = core::run_study_at_scale(scale_, seed_);
-  store_.emplace(analysis::SessionStore::build_parallel(study_->sorted,
-                                                        pool()));
-  read_only_ = store_->read_only_sessions();
-  sweeps_.emplace(study_->sorted, *read_only_, pool());
+  core::StudyConfig config;
+  config.workload.scale = scale_;
+  config.workload.seed = seed_;
+  RecordCollector records(trace_);
+  // The geometry the collector stamps into the trace header.
+  core::StridedRewriter strided(config.machine.io_nodes, util::kBlockSize);
+  core::StreamOptions options;
+  options.sinks = {&records, &strided};
+  study_ = core::run_streamed_study(config, options);
+  trace_.header = study_->header;
+  strided_ = strided.finish();
+  read_only_ = study_->sessions.read_only_sessions();
+  sweeps_.emplace(std::move(study_->replay_ops), read_only_, pool());
   std::printf("[charisma] %zu trace events, %zu file sessions\n\n",
-              study_->sorted.records.size(), store_->sessions().size());
+              trace_.records.size(), study_->sessions.sessions().size());
   built_ = true;
 }
 
-const core::StudyOutput& Context::study() {
+const core::StreamedStudyOutput& Context::study() {
   ensure();
   return *study_;
 }
 
 const analysis::SessionStore& Context::store() {
   ensure();
-  return *store_;
+  return study_->sessions;
+}
+
+const trace::SortedTrace& Context::trace() {
+  ensure();
+  return trace_;
 }
 
 const std::set<cache::SessionKey>& Context::read_only() {
   ensure();
-  return *read_only_;
+  return read_only_;
+}
+
+const core::StridedStats& Context::strided() {
+  ensure();
+  return strided_;
 }
 
 util::ThreadPool& Context::pool() {
@@ -102,10 +141,19 @@ void Comparison::print() const {
 int bench_main(int argc, char** argv, const char* experiment,
                void (*reproduce)()) {
   util::Flags flags(argc, argv, {"scale", "seed", "threads"});
+  // A negative count would wrap to a huge pool size.
+  const std::int64_t threads = flags.get_int("threads", 0);
+  if (threads < 0) {
+    std::fprintf(stderr,
+                 "usage: %s [--scale=S] [--seed=N] [--threads=N] "
+                 "[google-benchmark flags]; --threads must be >= 0\n",
+                 std::filesystem::path(argv[0]).filename().c_str());
+    return 2;
+  }
   Context::instance().configure(
       flags.get_double("scale", 0.2),
       static_cast<std::uint64_t>(flags.get_int("seed", 42)),
-      static_cast<std::size_t>(flags.get_int("threads", 0)));
+      static_cast<std::size_t>(threads));
   std::printf("==========================================================\n");
   std::printf("CHARISMA reproduction: %s\n", experiment);
   std::printf("==========================================================\n");

@@ -8,7 +8,7 @@ namespace {
 void reproduce() {
   const auto result = analysis::analyze_sharing(
       Context::instance().store(),
-      Context::instance().study().raw.header.block_size);
+      Context::instance().study().header.block_size);
   std::printf("%s\n", result.render().c_str());
 
   Comparison cmp("Figure 7: sharing");
@@ -32,7 +32,7 @@ void reproduce() {
 
 void BM_SharingAnalysis(benchmark::State& state) {
   const auto& store = Context::instance().store();
-  const auto bs = Context::instance().study().raw.header.block_size;
+  const auto bs = Context::instance().study().header.block_size;
   for (auto _ : state) {
     benchmark::DoNotOptimize(analysis::analyze_sharing(store, bs));
   }

@@ -47,11 +47,11 @@ void BM_ComputeCacheSim(benchmark::State& state) {
   cfg.buffers_per_node = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        cache::simulate_compute_cache(ctx.study().sorted, ctx.read_only(),
+        cache::simulate_compute_cache(ctx.trace(), ctx.read_only(),
                                       cfg));
   }
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(ctx.study().sorted.records.size()) *
+      static_cast<std::int64_t>(ctx.trace().records.size()) *
       state.iterations());
 }
 BENCHMARK(BM_ComputeCacheSim)->Arg(1)->Arg(50)->Unit(benchmark::kMillisecond);

@@ -86,10 +86,10 @@ void BM_IoNodeCacheSim(benchmark::State& state) {
   cfg.policy = state.range(1) == 0 ? cache::Policy::kLru : cache::Policy::kFifo;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        cache::simulate_io_cache(ctx.study().sorted, ctx.read_only(), cfg));
+        cache::simulate_io_cache(ctx.trace(), ctx.read_only(), cfg));
   }
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(ctx.study().sorted.records.size()) *
+      static_cast<std::int64_t>(ctx.trace().records.size()) *
       state.iterations());
 }
 BENCHMARK(BM_IoNodeCacheSim)

@@ -1,7 +1,7 @@
-// End-to-end perf harness: one timed pass over the pipeline's three hot
-// stages (study -> session build -> cache-parameter sweep), emitted as a
-// self-contained JSON object for tools/record_bench.sh to collect into
-// BENCH_study.json.
+// End-to-end perf harness: one timed pass over the pipeline's hot stages
+// (streamed study -> read-only sessions -> sweep-runner set-up ->
+// cache-parameter sweep), emitted as a self-contained JSON object for
+// tools/record_bench.sh to collect into BENCH_study.json.
 //
 // This is deliberately NOT a google-benchmark binary: the recorded numbers
 // are whole-stage wall times of a single representative pass, which is what
@@ -145,7 +145,9 @@ int run(int argc, char** argv) {
   if (flags.remaining_argc() > 1) return usage();
   const double scale = flags.get_double("scale", 0.2);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
-  const auto threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+  // A negative count would wrap to a huge pool size.
+  const std::int64_t threads = flags.get_int("threads", 0);
+  if (threads < 0) return usage();
 
   core::StudyConfig config;
   config.workload.scale = scale;
@@ -157,7 +159,7 @@ int run(int argc, char** argv) {
       flags.get_int("spill-budget-mb", config.spill_budget_mb);
   config.spill_dir = flags.get("spill-dir", "");
 
-  util::ThreadPool pool(threads);
+  util::ThreadPool pool(static_cast<std::size_t>(threads));
   const auto total_start = WallClock::now();
   auto stage_start = WallClock::now();
 
@@ -176,7 +178,11 @@ int run(int argc, char** argv) {
   const std::set<cache::SessionKey> read_only =
       out.sessions.read_only_sessions();
   const double sessions_ms = ms_since(stage_start);
+  // Runner set-up: the replay-op decode pass, read-only resolution and
+  // one-touch marking.
+  stage_start = WallClock::now();
   const cache::SweepRunner sweeps(std::move(out.replay_ops), read_only, pool);
+  const double runner_setup_ms = ms_since(stage_start);
 
   const auto compute_configs = compute_sweep();
   const auto io_configs = io_sweep();
@@ -235,6 +241,8 @@ int run(int argc, char** argv) {
   json += "    \"study\": " + std::to_string(study_ms) + ",\n";
   json += "    \"digest\": " + std::to_string(digest_ms) + ",\n";
   json += "    \"sessions\": " + std::to_string(sessions_ms) + ",\n";
+  json += "    \"runner_setup\": " + std::to_string(runner_setup_ms) +
+          ",\n";
   json += "    \"sweep\": " + std::to_string(sweep_ms) + ",\n";
   json += "    \"spill_write\": " + std::to_string(spill.spill_write_ms) +
           ",\n";

@@ -5,9 +5,8 @@
 //   cache_tuning [--scale=0.1] [--seed=42]
 #include <cstdio>
 
-#include "analysis/session.hpp"
 #include "cache/simulators.hpp"
-#include "core/study.hpp"
+#include "core/stream_study.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -16,37 +15,42 @@ using namespace charisma;
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv, {"scale", "seed"});
-  const double scale = flags.get_double("scale", 0.1);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
+  core::StudyConfig config;
+  config.workload.scale = flags.get_double("scale", 0.1);
+  config.workload.seed =
+      static_cast<std::uint64_t>(flags.get_int("seed", 42));
 
-  std::printf("generating trace at scale %.2f...\n", scale);
-  const auto study = core::run_study_at_scale(scale, seed);
-  const analysis::SessionStore store(study.sorted, /*track_coverage=*/false);
-  const auto read_only = store.read_only_sessions();
+  std::printf("generating trace at scale %.2f...\n", config.workload.scale);
+  core::StreamedStudyOutput study = core::run_streamed_study(config);
+  // One runner over the study's replay ops serves every design point; it
+  // fans the sweep over the pool and returns results in config order.
+  util::ThreadPool pool;
+  const cache::SweepRunner sweeps(std::move(study.replay_ops),
+                                  study.sessions.read_only_sessions(), pool);
 
-  // Sweep the I/O-node cache design space; each cell is an independent
-  // replay, so the sweep parallelizes across the pool.
+  // Sweep the I/O-node cache design space.
   const std::vector<std::size_t> sizes = {250, 1000, 4000, 16000};
   const std::vector<cache::Policy> policies = {
       cache::Policy::kLru, cache::Policy::kFifo,
       cache::Policy::kInterprocessAware};
-  std::vector<double> hit(sizes.size() * policies.size());
-  util::ThreadPool pool;
-  // Audited: each design point writes only its own hit[i] slot.
-  // NOLINTNEXTLINE(charisma-shared-capture)
-  util::parallel_for(pool, hit.size(), [&](std::size_t i) {
-    cache::IoNodeSimConfig cfg;
-    cfg.total_buffers = sizes[i % sizes.size()];
-    cfg.policy = policies[i / sizes.size()];
-    cfg.io_nodes = 10;
-    hit[i] = cache::simulate_io_cache(study.sorted, read_only, cfg).hit_rate;
-  });
+  std::vector<cache::IoNodeSimConfig> io_configs;
+  for (const cache::Policy policy : policies) {
+    for (const std::size_t buffers : sizes) {
+      cache::IoNodeSimConfig cfg;
+      cfg.total_buffers = buffers;
+      cfg.policy = policy;
+      cfg.io_nodes = 10;
+      io_configs.push_back(cfg);
+    }
+  }
+  const auto io = sweeps.run_io(io_configs);
 
   util::Table t({"policy", "250 buf", "1000 buf", "4000 buf", "16000 buf"});
   for (std::size_t p = 0; p < policies.size(); ++p) {
     std::vector<std::string> row{to_string(policies[p])};
     for (std::size_t s = 0; s < sizes.size(); ++s) {
-      row.push_back(util::fmt(hit[p * sizes.size() + s] * 100.0) + "%");
+      row.push_back(util::fmt(io[p * sizes.size() + s].hit_rate * 100.0) +
+                    "%");
     }
     t.add_row(std::move(row));
   }
@@ -54,14 +58,19 @@ int main(int argc, char** argv) {
               t.render().c_str());
 
   // And the compute-node side: is one buffer really enough?
-  util::Table c({"buffers per node", "jobs at 0%", "jobs > 75%",
-                 "overall hit rate"});
-  for (std::size_t buffers : {1u, 4u, 50u}) {
+  const std::vector<std::size_t> buffer_counts = {1, 4, 50};
+  std::vector<cache::ComputeCacheConfig> compute_configs;
+  for (const std::size_t buffers : buffer_counts) {
     cache::ComputeCacheConfig cfg;
     cfg.buffers_per_node = buffers;
-    const auto r =
-        cache::simulate_compute_cache(study.sorted, read_only, cfg);
-    c.add_row({std::to_string(buffers),
+    compute_configs.push_back(cfg);
+  }
+  const auto compute = sweeps.run_compute(compute_configs);
+  util::Table c({"buffers per node", "jobs at 0%", "jobs > 75%",
+                 "overall hit rate"});
+  for (std::size_t i = 0; i < compute.size(); ++i) {
+    const auto& r = compute[i];
+    c.add_row({std::to_string(buffer_counts[i]),
                util::fmt(r.fraction_jobs_zero * 100.0) + "%",
                util::fmt(r.fraction_jobs_above_75 * 100.0) + "%",
                util::fmt(r.overall_hit_rate() * 100.0) + "%"});

@@ -78,17 +78,11 @@ struct FigureEnvelope {
 /// and by bytes), Figures 5/6 (per-class sequentiality CDFs), Figure 7
 /// (per-class sharing CDFs), and Tables 1-3 (bucket fractions).  Figure 4
 /// comes from `request_sizes` — the one figure whose input is the raw record
-/// stream, not the session store — so both trace modes collect figures from
-/// the same bounded inputs.
+/// stream, not the session store — so figures are collected from the same
+/// bounded inputs the streamed study finishes with.
 [[nodiscard]] FigureSet collect_trace_figures(
     const SessionStore& store, const RequestSizeResult& request_sizes,
     std::int64_t block_size);
-
-/// Materialized-trace convenience overload: runs analyze_request_sizes on
-/// `trace`, then collects as above.
-[[nodiscard]] FigureSet collect_trace_figures(const SessionStore& store,
-                                              const trace::SortedTrace& trace,
-                                              std::int64_t block_size);
 
 // ---- Envelope fold ---------------------------------------------------------
 

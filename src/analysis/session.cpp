@@ -98,8 +98,9 @@ std::int64_t bytes_covered_by_at_least(
 
 namespace detail {
 
-/// Streaming accumulator shared by the serial and parallel builds.  Feed it
-/// records in trace order (per session); it owns the grown session list.
+/// Streaming accumulator shared by the record-vector constructor and
+/// SessionAccumulator.  Feed it records in trace order (per session); it
+/// owns the grown session list.
 class SessionBuilder {
  public:
   explicit SessionBuilder(bool track_coverage)
@@ -237,66 +238,6 @@ SessionStore::SessionStore(const trace::SortedTrace& trace,
   builder.finish();
   sessions_ = std::move(builder.sessions());
   job_events_ = std::move(builder.job_events());
-}
-
-SessionStore SessionStore::build_parallel(const trace::SortedTrace& trace,
-                                          util::ThreadPool& pool,
-                                          bool track_coverage) {
-  SessionStore store;
-  store.start_ = trace.header.trace_start;
-  store.end_ = trace.header.trace_end;
-
-  // Pass 1 (serial): job events, plus a per-shard index of the records each
-  // worker will consume.  Sharding by (job, file) keeps every session's
-  // stream whole and ordered within one shard.  The shard count is a fixed
-  // constant — NOT the pool width — so the merged session order (and thus
-  // any output derived from it) is identical no matter how many threads
-  // execute the shards.
-  constexpr std::size_t shards = 64;
-  std::vector<std::vector<std::uint32_t>> shard_records(shards);
-  for (std::uint32_t i = 0; i < trace.records.size(); ++i) {
-    const Record& r = trace.records[i];
-    if (r.kind == EventKind::kJobStart || r.kind == EventKind::kJobEnd) {
-      JobEvent e;
-      e.job = r.job;
-      e.time = r.timestamp;
-      e.nodes = static_cast<std::int32_t>(r.aux);
-      e.start = r.kind == EventKind::kJobStart;
-      store.job_events_.push_back(e);
-      continue;
-    }
-    const auto h = static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(r.job)) *
-             0x9e3779b97f4a7c15ULL ^
-         static_cast<std::uint32_t>(r.file)) %
-        shards);
-    shard_records[h].push_back(i);
-  }
-
-  // Pass 2 (parallel): independent builders per shard.
-  std::vector<detail::SessionBuilder> builders;
-  builders.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    builders.emplace_back(track_coverage);
-  }
-  // Audited: each worker owns builders[s] and shard_records[s] for exactly
-  // one shard index — no two iterations share a slot.
-  // NOLINTNEXTLINE(charisma-shared-capture)
-  util::parallel_for(pool, shards, [&](std::size_t s) {
-    for (const std::uint32_t i : shard_records[s]) {
-      builders[s].add(trace.records[i]);
-    }
-    builders[s].finish();
-  });
-
-  // Merge: shard session sets are disjoint by construction.
-  std::size_t total = 0;
-  for (auto& b : builders) total += b.sessions().size();
-  store.sessions_.reserve(total);
-  for (auto& b : builders) {
-    for (auto& s : b.sessions()) store.sessions_.push_back(std::move(s));
-  }
-  return store;
 }
 
 std::set<std::pair<JobId, FileId>> SessionStore::read_only_sessions() const {

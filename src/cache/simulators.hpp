@@ -355,16 +355,19 @@ struct SweepPlan {
 /// and the Figure 8 single-point replay stay whole.
 class SweepRunner {
  public:
-  /// Serial runner: passes execute inline on the calling thread.  The
-  /// references are borrowed and must outlive the runner.
+  /// Serial runner: passes execute inline on the calling thread.  Both
+  /// arguments are consumed at construction (the ops are copied out of
+  /// `trace` with their read-only flags resolved); neither is kept.
   SweepRunner(const trace::SortedTrace& trace,
               const std::set<SessionKey>& read_only);
-  /// Pooled runner: independent passes fan out over `pool`.
+  /// Pooled runner: independent passes fan out over `pool`, which is
+  /// borrowed and must outlive the runner.
   SweepRunner(const trace::SortedTrace& trace,
               const std::set<SessionKey>& read_only, util::ThreadPool& pool);
   /// Streaming runners: replay a spilled op file per pass instead of an
-  /// in-memory op vector.  `read_only` is borrowed and must outlive the
-  /// runner (it resolves the spilled ops' read-only flags per traversal).
+  /// in-memory op vector.  `read_only` is consumed at construction: the
+  /// log's one decode pass resolves every op's read-only flag, so the set
+  /// may be destroyed as soon as the runner exists.
   SweepRunner(ReplayOpSpill ops, const std::set<SessionKey>& read_only);
   SweepRunner(ReplayOpSpill ops, const std::set<SessionKey>& read_only,
               util::ThreadPool& pool);

@@ -55,38 +55,12 @@ std::string format_scale(double scale) {
   return os.str();
 }
 
-/// The figure-8 sweep points: 1-buffer and 50-buffer per-node caches.
-std::vector<cache::ComputeCacheConfig> figure_compute_configs() {
-  std::vector<cache::ComputeCacheConfig> configs(2);
-  configs[0].buffers_per_node = 1;
-  configs[1].buffers_per_node = 50;
-  return configs;
-}
-
-/// The figure-9 sweep points: the full buffer grid under LRU, then FIFO.
-std::vector<cache::IoNodeSimConfig> figure_io_configs(int io_nodes) {
-  const auto buffers = analysis::fig9_buffer_grid();
-  std::vector<cache::IoNodeSimConfig> configs;
-  configs.reserve(2 * buffers.size());
-  for (const cache::Policy policy :
-       {cache::Policy::kLru, cache::Policy::kFifo}) {
-    for (const double b : buffers) {
-      cache::IoNodeSimConfig cfg;
-      cfg.io_nodes = io_nodes;
-      cfg.total_buffers = static_cast<std::size_t>(b);
-      cfg.policy = policy;
-      configs.push_back(cfg);
-    }
-  }
-  return configs;
-}
-
 /// The cache figures (8/9), appended to the trace-derived figure set.  A
 /// serial grouped SweepRunner covers each figure's whole buffer grid in one
 /// trace pass per (policy, topology) group: campaign workers already
 /// saturate the pool one study per thread, so the win here is fewer passes,
-/// not more threads.  The runner may replay a record vector or a replay-op
-/// spill; the two produce bit-identical curves.
+/// not more threads.  The runner may replay a record vector (the tests'
+/// oracle) or a replay-op spill; the two produce bit-identical curves.
 void append_cache_figures(analysis::FigureSet& set,
                           const cache::SweepRunner& runner, int io_nodes) {
   const auto fracs = analysis::fraction_grid();
@@ -114,6 +88,30 @@ void append_cache_figures(analysis::FigureSet& set,
 }
 
 }  // namespace
+
+std::vector<cache::ComputeCacheConfig> figure_compute_configs() {
+  std::vector<cache::ComputeCacheConfig> configs(2);
+  configs[0].buffers_per_node = 1;
+  configs[1].buffers_per_node = 50;
+  return configs;
+}
+
+std::vector<cache::IoNodeSimConfig> figure_io_configs(int io_nodes) {
+  const auto buffers = analysis::fig9_buffer_grid();
+  std::vector<cache::IoNodeSimConfig> configs;
+  configs.reserve(2 * buffers.size());
+  for (const cache::Policy policy :
+       {cache::Policy::kLru, cache::Policy::kFifo}) {
+    for (const double b : buffers) {
+      cache::IoNodeSimConfig cfg;
+      cfg.io_nodes = io_nodes;
+      cfg.total_buffers = static_cast<std::size_t>(b);
+      cfg.policy = policy;
+      configs.push_back(cfg);
+    }
+  }
+  return configs;
+}
 
 std::string describe_figure_sweep_plan(int io_nodes) {
   std::ostringstream os;
@@ -161,11 +159,10 @@ StudySummary summarize_streamed_study(const std::string& label,
   // The accumulators already ran during the one streaming merge; everything
   // below reads their finished state.
   const analysis::SessionStore& store = output.sessions;
-  std::set<cache::SessionKey> read_only;  // borrowed by the runner
   std::optional<cache::SweepRunner> runner;
   if (with_figures) {
-    read_only = store.read_only_sessions();
-    runner.emplace(std::move(output.replay_ops), read_only);
+    // The runner resolves the read-only flags at construction.
+    runner.emplace(std::move(output.replay_ops), store.read_only_sessions());
   }
   StudySummary s = summarize_measurements(
       store, output.request_sizes, output.header,

@@ -14,15 +14,12 @@
 #include <vector>
 
 #include "analysis/figures.hpp"
+#include "cache/simulators.hpp"
 #include "core/stream_study.hpp"
 #include "core/study.hpp"
 #include "util/mutex.hpp"
 #include "util/stats.hpp"
 #include "util/thread_annotations.hpp"
-
-namespace charisma::cache {
-class SweepRunner;
-}  // namespace charisma::cache
 
 namespace charisma::core {
 
@@ -130,6 +127,13 @@ struct CampaignOptions {
 /// Aggregates the numeric statistics across studies.
 [[nodiscard]] std::vector<AggregateStat> aggregate_campaign(
     const std::vector<StudySummary>& studies);
+
+/// The Figure 8 sweep points: 1-buffer and 50-buffer per-node caches.
+[[nodiscard]] std::vector<cache::ComputeCacheConfig> figure_compute_configs();
+/// The Figure 9 sweep points: the full buffer grid (analysis::
+/// fig9_buffer_grid) under LRU, then under FIFO, over `io_nodes` I/O nodes.
+[[nodiscard]] std::vector<cache::IoNodeSimConfig> figure_io_configs(
+    int io_nodes);
 
 /// One-line description of the grouped sweep plan behind the per-study
 /// cache figures (8/9) — how many trace passes the figure collection costs

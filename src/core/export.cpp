@@ -30,12 +30,12 @@ void write_cdf(const std::string& path, const util::Cdf& cdf) {
 
 }  // namespace
 
-ExportResult export_figures(const StudyOutput& study,
+ExportResult export_figures(const StreamedStudyOutput& study,
+                            const cache::SweepRunner& sweeps,
                             const std::string& directory) {
   ExportResult result;
   result.directory = directory;
-  const analysis::SessionStore store(study.sorted);
-  const auto read_only = store.read_only_sessions();
+  const analysis::SessionStore& store = study.sessions;
   const auto dir = [&](const std::string& name) {
     return directory + "/" + name;
   };
@@ -63,7 +63,7 @@ ExportResult export_figures(const StudyOutput& study,
   write_cdf(dir("fig3.tsv"), analysis::analyze_file_sizes(store).cdf);
   ++result.files_written;
   {  // Figure 4: four curves in one file.
-    const auto r = analysis::analyze_request_sizes(study.sorted);
+    const auto& r = study.request_sizes;
     auto out = open_out(dir("fig4.tsv"));
     out << "# size\treads_cdf\tread_bytes_cdf\twrites_cdf\twrite_bytes_cdf\n";
     for (double x : util::log_spaced(64, 3.3e7, 6)) {
@@ -83,44 +83,32 @@ ExportResult export_figures(const StudyOutput& study,
     result.files_written += 5;
   }
   {  // Figure 7: sharing CDFs.
-    const auto r = analysis::analyze_sharing(store,
-                                             study.raw.header.block_size);
+    const auto r = analysis::analyze_sharing(store, study.header.block_size);
     write_cdf(dir("fig7_read_bytes.tsv"), r.read_only.byte_shared_cdf);
     write_cdf(dir("fig7_read_blocks.tsv"), r.read_only.block_shared_cdf);
     write_cdf(dir("fig7_write_bytes.tsv"), r.write_only.byte_shared_cdf);
     result.files_written += 3;
   }
   {  // Figure 8: job hit-rate CDF, 1 and 50 buffers.
-    cache::ComputeCacheConfig cfg;
-    cfg.buffers_per_node = 1;
-    write_cdf(dir("fig8_1buf.tsv"),
-              cache::simulate_compute_cache(study.sorted, read_only, cfg)
-                  .hit_rate_cdf);
-    cfg.buffers_per_node = 50;
-    write_cdf(dir("fig8_50buf.tsv"),
-              cache::simulate_compute_cache(study.sorted, read_only, cfg)
-                  .hit_rate_cdf);
+    const auto r = sweeps.run_compute(figure_compute_configs());
+    write_cdf(dir("fig8_1buf.tsv"), r[0].hit_rate_cdf);
+    write_cdf(dir("fig8_50buf.tsv"), r[1].hit_rate_cdf);
     result.files_written += 2;
   }
   {  // Figure 9: hit rate vs buffers, LRU and FIFO.
+    const auto buffers = analysis::fig9_buffer_grid();
+    const auto r = sweeps.run_io(figure_io_configs(
+        study.header.io_nodes > 0 ? study.header.io_nodes : 10));
     auto out = open_out(dir("fig9.tsv"));
     out << "# buffers\tlru\tfifo\n";
-    for (const double b : analysis::fig9_buffer_grid()) {
-      const auto buffers = static_cast<std::size_t>(b);
-      cache::IoNodeSimConfig cfg;
-      cfg.total_buffers = buffers;
-      cfg.policy = cache::Policy::kLru;
-      const double lru =
-          cache::simulate_io_cache(study.sorted, read_only, cfg).hit_rate;
-      cfg.policy = cache::Policy::kFifo;
-      const double fifo =
-          cache::simulate_io_cache(study.sorted, read_only, cfg).hit_rate;
-      out << buffers << '\t' << lru << '\t' << fifo << '\n';
+    for (std::size_t i = 0; i < buffers.size(); ++i) {
+      out << static_cast<std::size_t>(buffers[i]) << '\t' << r[i].hit_rate
+          << '\t' << r[buffers.size() + i].hit_rate << '\n';
     }
     ++result.files_written;
   }
   {  // Extra: the I/O-rate timeline.
-    const auto r = analysis::analyze_io_rate(study.sorted);
+    const auto& r = study.io_rate;
     auto out = open_out(dir("iorate.tsv"));
     out << "# t_seconds\tread_mb\twrite_mb\n";
     for (const auto& b : r.timeline) {

@@ -5,8 +5,9 @@
 
 #include <string>
 
+#include "cache/simulators.hpp"
 #include "core/campaign.hpp"
-#include "core/study.hpp"
+#include "core/stream_study.hpp"
 
 namespace charisma::core {
 
@@ -17,9 +18,11 @@ struct ExportResult {
 };
 
 /// Writes fig1.tsv .. fig9.tsv (and iorate.tsv) plus plots.gp into
-/// `directory` (created by the caller).  Throws std::runtime_error on I/O
-/// failure.
-ExportResult export_figures(const StudyOutput& study,
+/// `directory` (created by the caller) from a streamed study's finished
+/// analyses; the cache figures (8/9) come from `sweeps`, a runner over the
+/// study's replay ops.  Throws std::runtime_error on I/O failure.
+ExportResult export_figures(const StreamedStudyOutput& study,
+                            const cache::SweepRunner& sweeps,
                             const std::string& directory);
 
 /// Writes campaign_studies.tsv (one row per study: identity, digest,

@@ -30,8 +30,8 @@ StreamedStudyOutput run_streamed_study(const StudyConfig& config,
                                        const StreamOptions& options) {
   StudyRig rig(config);
   trace::Collector& collector = rig.collector();
-  // The spill header is written up front, so the annotation run_study
-  // applies after the fact must be final before the first block lands.
+  // The spill header is written up front, so the annotation must be final
+  // before the first block lands.
   collector.annotate(config.workload.seed, kStudyTraceLabel);
   // One shared memory-tier pool for both spills (trace blocks and replay-op
   // chunks): reservations are never returned, so peak RSS is bounded by the
@@ -47,11 +47,24 @@ StreamedStudyOutput run_streamed_study(const StudyConfig& config,
   rig.run(out);
 
   const trace::SpilledTrace spilled = collector.take_spilled();
-  out.header = spilled.header;
   util::Stopwatch digest_sw;
   out.trace_digest = spilled.digest();
   const double digest_ms = digest_sw.elapsed_ms();
+  stream_spilled_trace(spilled, options, budget, config.spill_dir, out);
+  out.spill.digest_ms = digest_ms;
+  // digest() re-reads every disk payload byte once, on top of the merge's
+  // disk reads.  Sweep-pass re-reads accrue later via SweepRunner.
+  out.spill.spill_bytes_read += spilled.disk_payload_bytes();
+  out.spill.spill_budget_mb = config.spill_budget_mb;
+  return out;  // `spilled` unlinks the raw-trace spill here
+}
 
+void stream_spilled_trace(const trace::SpilledTrace& spilled,
+                          const StreamOptions& options,
+                          trace::SpillBudget& budget,
+                          const std::string& spill_dir,
+                          StreamedStudyOutput& out) {
+  out.header = spilled.header;
   // One merge pass feeds every consumer; per-sink state is bounded
   // (sessions, histograms, a timeline, one op chunk), never the trace.
   analysis::SessionAccumulator sessions;
@@ -63,7 +76,7 @@ StreamedStudyOutput run_streamed_study(const StudyConfig& config,
   if (options.collect_replay_ops) {
     cache::ReplayOpSinkOptions oopts;
     oopts.budget = &budget;
-    oopts.dir = config.spill_dir;
+    oopts.dir = spill_dir;
     ops.emplace(std::move(oopts));
     sinks.push_back(&*ops);
   }
@@ -82,21 +95,15 @@ StreamedStudyOutput run_streamed_study(const StudyConfig& config,
   const trace::SpillWriterStats& wstats = spilled.write_stats();
   out.spill.spill_write_ms = wstats.write_ms + out.replay_ops.write_ms();
   out.spill.spill_read_ms = merge_stats.read_ms;
-  out.spill.digest_ms = digest_ms;
   out.spill.sink_ms = merge_stats.sink_ms;
   out.spill.append_stall_ms = wstats.append_stall_ms;
   out.spill.spill_bytes_written =
       wstats.disk_bytes + out.replay_ops.disk_bytes();
-  // digest() re-reads every disk payload byte once; the merge's disk reads
-  // come on top.  Sweep-pass re-reads accrue later via SweepRunner.
-  out.spill.spill_bytes_read =
-      spilled.disk_payload_bytes() + merge_stats.disk_bytes_read;
+  out.spill.spill_bytes_read = merge_stats.disk_bytes_read;
   out.spill.trace_blocks_in_memory = wstats.mem_blocks;
   out.spill.trace_blocks_on_disk = wstats.disk_blocks;
   out.spill.ops_chunks_in_memory = out.replay_ops.mem_chunks().size();
   out.spill.ops_chunks_on_disk = out.replay_ops.disk_chunks();
-  out.spill.spill_budget_mb = config.spill_budget_mb;
-  return out;  // `spilled` unlinks the raw-trace spill here
 }
 
 }  // namespace charisma::core

@@ -1,18 +1,20 @@
-// The streaming (bounded-memory) study runner — the production pipeline.
+// The streaming (bounded-memory) study runner — the one study pipeline.
 //
-// Runs the identical simulation as run_study (the same StudyRig), but the collector spills raw
-// trace blocks to disk as they flush instead of accumulating a TraceFile,
-// and the postprocessing merge pushes each record — once, in corrected
-// chronological order — through bounded-state sinks: the session detector,
-// the request-size and I/O-rate accumulators, and the cache sweeps' replay-
-// op spill.  Nothing ever holds the whole trace: peak RSS is the simulation
-// itself plus the k-way merge window, independent of trace length.
+// Runs the simulation (StudyRig), but the collector spills raw trace blocks
+// as they flush instead of accumulating a TraceFile, and the postprocessing
+// merge pushes each record — once, in corrected chronological order —
+// through bounded-state sinks: the session detector, the request-size and
+// I/O-rate accumulators, the cache sweeps' replay-op spill, and any sinks
+// the caller adds.  Nothing ever holds the whole trace: peak RSS is the
+// simulation itself plus the k-way merge window, independent of trace
+// length.
 //
-// Every statistic is bit-identical to the materialized run_study because the
-// sinks ARE the implementation the record-vector analyzers call, the merge
-// uses the same ordering key as trace::postprocess, and the spilled bytes
-// are the same encoding TraceFile::write emits (so the digest matches too —
-// the streaming differential test holds both to one digest).
+// The sinks ARE the implementation the record-vector analyzers call, the
+// merge uses the same ordering key as trace::postprocess, and the spilled
+// bytes are the same encoding TraceFile::write emits, so every statistic
+// and the digest equal the materialized test oracle's
+// (tests/support/materialized_study.hpp; the streaming differential test
+// holds both to one digest).
 #pragma once
 
 #include <cstdint>
@@ -24,6 +26,7 @@
 #include "analysis/session.hpp"
 #include "cache/replay.hpp"
 #include "core/study.hpp"
+#include "trace/spill.hpp"
 
 namespace charisma::core {
 
@@ -96,6 +99,20 @@ struct StreamedStudyOutput : StudyRun {
 /// (except the replay-op spill, which the output owns).
 [[nodiscard]] StreamedStudyOutput run_streamed_study(
     const StudyConfig& config, const StreamOptions& options = {});
+
+/// The post-simulation half of run_streamed_study, over any spilled trace
+/// (a study's own spill, or a saved trace opened with SpilledTrace::open):
+/// one postprocessing merge through the session, request-size and I/O-rate
+/// accumulators, the replay-op spill when options.collect_replay_ops is on,
+/// and options.sinks.  Fills `out`'s header, streamed_records, accumulator
+/// results, replay_ops and spill telemetry (except the digest's share); the
+/// digest and the StudyRun counters stay with the caller.  Replay-op chunks
+/// draw on `budget` and overflow into `spill_dir`.
+void stream_spilled_trace(const trace::SpilledTrace& spilled,
+                          const StreamOptions& options,
+                          trace::SpillBudget& budget,
+                          const std::string& spill_dir,
+                          StreamedStudyOutput& out);
 
 /// Unique spill-file path in `dir` (or the temp directory when empty):
 /// pid + process-wide counter, so concurrent campaign workers and

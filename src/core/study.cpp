@@ -33,22 +33,4 @@ void StudyRig::run(StudyRun& out) {
   }
 }
 
-StudyOutput run_study(const StudyConfig& config) {
-  StudyRig rig(config);
-  StudyOutput out;
-  rig.run(out);
-  out.raw = rig.collector().take_trace();
-  out.raw.header.seed = config.workload.seed;
-  out.raw.header.label = kStudyTraceLabel;
-  out.sorted = trace::postprocess(out.raw);
-  return out;
-}
-
-StudyOutput run_study_at_scale(double scale, std::uint64_t seed) {
-  StudyConfig config;
-  config.workload.scale = scale;
-  config.workload.seed = seed;
-  return run_study(config);
-}
-
 }  // namespace charisma::core

@@ -1,10 +1,11 @@
-// CharismaStudy — the top-level pipeline and the library's main entry point.
+// CharismaStudy — the simulation half of the pipeline.
 //
-// Wires the full reproduction together exactly as the paper's methodology
-// runs: synthetic production workload -> simulated iPSC/860 -> instrumented
-// CFS -> per-node trace buffers -> service-node collector -> raw trace ->
-// postprocess (clock fitting + sort).  Analyzers and cache simulators then
-// consume the postprocessed trace.
+// Wires the reproduction together exactly as the paper's methodology runs:
+// synthetic production workload -> simulated iPSC/860 -> instrumented CFS
+// -> per-node trace buffers -> service-node collector -> raw trace.  The
+// study entry point, core::run_streamed_study (core/stream_study.hpp), then
+// postprocesses the trace (clock fitting + sort) in one streaming merge that
+// feeds the analyzers and cache simulators.
 #pragma once
 
 #include <cstdint>
@@ -22,10 +23,11 @@
 
 namespace charisma::core {
 
-/// The label every study stamps into its trace header.  Shared between
-/// run_study and the streaming runner: the spill header is written up
-/// front, so the label must be identical (and final) in both for the trace
-/// digests to match.  Also shared across workload sources — the digest
+/// The label every study stamps into its trace header (annotate the rig's
+/// collector before the run).  The streamed study writes its spill header
+/// up front, so every study — streamed, a trace written to disk, or the
+/// tests' materialized oracle — stamps the same final label, and their
+/// digests match.  Also shared across workload sources — the digest
 /// folds the label, and keeping it source-independent is what lets a
 /// replayed chwl export reproduce its original study's digest bit for bit
 /// (the round-trip test pins this).
@@ -62,8 +64,7 @@ struct StudyConfig {
 };
 
 /// What every study reports besides its trace: the jobs, the workload, and
-/// the perturbation accounting (§3.1 / ablation C).  Both study runners fill
-/// it through the one StudyRig.
+/// the perturbation accounting (§3.1 / ablation C).  StudyRig::run fills it.
 struct StudyRun {
   std::vector<workload::JobResult> jobs;
   workload::GeneratedWorkload workload;
@@ -77,7 +78,7 @@ struct StudyRun {
   util::MicroSec sim_end = 0;
 };
 
-/// The simulation both study runners drive: engine, machine, CFS runtime and
+/// The simulation every study drives: engine, machine, CFS runtime and
 /// trace collector, built in one fixed order with the machine's clock skews
 /// drawn from a seed independent of the workload draw.  A runner may set the
 /// collector up (annotate it, start spilling) before run() and takes the
@@ -100,21 +101,5 @@ class StudyRig {
   cfs::Runtime runtime_;
   trace::Collector collector_;
 };
-
-/// The materialized study: the whole trace in memory, raw and postprocessed.
-/// The figure benches, the examples and the tests read its record vector;
-/// every production tool streams instead (core/stream_study.hpp).
-struct StudyOutput : StudyRun {
-  trace::TraceFile raw;
-  trace::SortedTrace sorted;
-};
-
-/// Runs the full study.  Deterministic in `config`.
-[[nodiscard]] StudyOutput run_study(const StudyConfig& config);
-
-/// Convenience used by benches: a study at the given workload scale with
-/// everything else at the NAS defaults.
-[[nodiscard]] StudyOutput run_study_at_scale(double scale,
-                                             std::uint64_t seed = 42);
 
 }  // namespace charisma::core

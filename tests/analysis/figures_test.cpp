@@ -61,7 +61,7 @@ TEST(FigureSetTest, AddAndFind) {
 TEST(CollectTraceFigures, EmptyTraceYieldsZeroedCurves) {
   trace::SortedTrace t;
   const SessionStore store(t);
-  const FigureSet set = collect_trace_figures(store, t, 4096);
+  const FigureSet set = collect_trace_figures(store, analyze_request_sizes(t), 4096);
   ASSERT_EQ(set.curves.size(), 15u);  // figs 4-7 + tables; cache figs are core's
   for (const auto& c : set.curves) {
     SCOPED_TRACE(c.name);
@@ -85,7 +85,7 @@ TEST(CollectTraceFigures, RequestSizeCurveReflectsTheTrace) {
       rec(EventKind::kClose, 1, 0, 5, 0, 0, 5),
   };
   const SessionStore store(t);
-  const FigureSet set = collect_trace_figures(store, t, 4096);
+  const FigureSet set = collect_trace_figures(store, analyze_request_sizes(t), 4096);
   const FigureCurve* reads = set.find("fig4_reads");
   ASSERT_NE(reads, nullptr);
   // 2 of 3 requests are 100 bytes: every grid point in [100, 1e6) reads

@@ -30,13 +30,13 @@ constexpr std::uint64_t kExpectedDigest = 0x5d6c862d0a86afe1ull;
 /// The study and its summary are shared across tests (a full scale-0.2 run
 /// is the expensive part; every assertion reads from it).
 struct Fixture {
-  core::StudyOutput output;
+  oracle::StudyOutput output;
   core::StudySummary summary;
   SessionStore store;
   cache::ComputeCacheResult compute;
 
   Fixture()
-      : output(core::run_study_at_scale(kScale, kSeed)),
+      : output(oracle::run_study_at_scale(kScale, kSeed)),
         summary(oracle::summarize_study("fidelity", fidelity_config(), output)),
         store(output.sorted),
         compute(cache::simulate_compute_cache(output.sorted,
@@ -67,7 +67,8 @@ TEST(PaperFidelity, EveryCheckInsideItsBand) {
   const CacheFigures cache_figs{f.compute.fraction_jobs_above_75,
                                 f.compute.fraction_jobs_zero};
   const auto checks = check_paper_fidelity(
-      f.store, f.output.sorted, f.output.raw.header.block_size, &cache_figs);
+      f.store, analyze_request_sizes(f.output.sorted),
+      f.output.raw.header.block_size, &cache_figs);
   ASSERT_GE(checks.size(), 30u);
   for (const auto& c : checks) {
     EXPECT_TRUE(c.pass())
@@ -186,8 +187,9 @@ TEST(PaperFidelity, HeadlineStatsMatchSummary) {
   // The StudySummary fields the campaign aggregates are the same
   // measurements the fidelity suite checks — no second bookkeeping path.
   const Fixture& f = fixture();
-  const auto checks = check_paper_fidelity(f.store, f.output.sorted,
-                                           f.output.raw.header.block_size);
+  const auto checks =
+      check_paper_fidelity(f.store, analyze_request_sizes(f.output.sorted),
+                           f.output.raw.header.block_size);
   const auto measured = [&](const char* name) {
     for (const auto& c : checks) {
       if (c.name == name) return c.measured;

@@ -24,6 +24,7 @@
 #include "analysis/session.hpp"
 #include "cache/simulators.hpp"
 #include "core/study.hpp"
+#include "support/materialized_study.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
 #include "workload/source.hpp"
@@ -38,7 +39,7 @@ constexpr std::uint64_t kSeed = 42;
 /// results are computed once (one direct simulation per config) and reused
 /// by each comparison.
 struct Fixture {
-  core::StudyOutput output;
+  oracle::StudyOutput output;
   std::set<SessionKey> read_only;
   std::vector<ComputeCacheConfig> compute_configs;
   std::vector<IoNodeSimConfig> io_configs;
@@ -46,7 +47,7 @@ struct Fixture {
   std::vector<IoNodeSimResult> io_reference;
 
   explicit Fixture(const core::StudyConfig& config)
-      : output(core::run_study(config)) {
+      : output(oracle::run_study(config)) {
     const analysis::SessionStore store(output.sorted);
     read_only = store.read_only_sessions();
     compute_configs = make_compute_configs();

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
+#include "trace/spill.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -266,6 +268,48 @@ TEST(SweepRunner, EmptyConfigListsYieldEmptyResults) {
   const SweepRunner runner(t, {}, pool);
   EXPECT_TRUE(runner.run_compute({}).empty());
   EXPECT_TRUE(runner.run_io({}).empty());
+}
+
+/// The replay-op spill a streamed study's merge would produce for `trace`.
+ReplayOpSpill spill_of(const trace::SortedTrace& trace,
+                       trace::SpillBudget& budget) {
+  ReplayOpSinkOptions options;
+  options.budget = &budget;
+  ReplayOpSink sink(options);
+  for (const trace::Record& r : trace.records) sink.on_record(r);
+  return sink.finish();
+}
+
+TEST(SweepLifetime, SpillRunnerNeedsNoReadOnlySetAfterConstruction) {
+  // A spill-backed runner resolves every op's read-only flag while it is
+  // built, so the set may die right after: ASan flags any later use.
+  const auto trace = mixed_trace();
+  const auto ro = read_only_for(trace);
+  const auto cc = compute_points();
+  const auto io = io_points();
+  util::ThreadPool pool(3);
+  // Budget 0 puts every op chunk on disk; the large one keeps them resident.
+  for (const std::int64_t budget_bytes :
+       {std::int64_t{0}, std::int64_t{1} << 30}) {
+    SCOPED_TRACE(budget_bytes);
+    trace::SpillBudget budget(budget_bytes);
+    auto doomed = std::make_unique<std::set<SessionKey>>(ro);
+    const SweepRunner serial(spill_of(trace, budget), *doomed);
+    const SweepRunner pooled(spill_of(trace, budget), *doomed, pool);
+    doomed.reset();
+    for (const SweepRunner* runner : {&serial, &pooled}) {
+      const auto compute = runner->run_compute(cc);
+      ASSERT_EQ(compute.size(), cc.size());
+      for (std::size_t i = 0; i < cc.size(); ++i) {
+        expect_same(compute[i], simulate_compute_cache(trace, ro, cc[i]));
+      }
+      const auto io_results = runner->run_io(io);
+      ASSERT_EQ(io_results.size(), io.size());
+      for (std::size_t i = 0; i < io.size(); ++i) {
+        expect_same(io_results[i], simulate_io_cache(trace, ro, io[i]));
+      }
+    }
+  }
 }
 
 }  // namespace

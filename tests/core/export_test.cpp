@@ -5,14 +5,26 @@
 #include <filesystem>
 #include <fstream>
 
+#include "cache/simulators.hpp"
+#include "core/stream_study.hpp"
+
 namespace charisma::core {
 namespace {
 
+StreamedStudyOutput study_at(double scale, std::uint64_t seed) {
+  StudyConfig config;
+  config.workload.scale = scale;
+  config.workload.seed = seed;
+  return run_streamed_study(config);
+}
+
 TEST(ExportFigures, WritesEverySeries) {
-  const auto study = run_study_at_scale(0.02, 33);
+  StreamedStudyOutput study = study_at(0.02, 33);
+  const cache::SweepRunner sweeps(std::move(study.replay_ops),
+                                  study.sessions.read_only_sessions());
   const std::string dir = ::testing::TempDir() + "charisma_export";
   std::filesystem::create_directories(dir);
-  const auto result = export_figures(study, dir);
+  const auto result = export_figures(study, sweeps, dir);
   EXPECT_GE(result.files_written, 14);
   for (const char* name :
        {"fig1.tsv", "fig2.tsv", "fig3.tsv", "fig4.tsv", "fig5_read_only.tsv",
@@ -33,8 +45,10 @@ TEST(ExportFigures, WritesEverySeries) {
 }
 
 TEST(ExportFigures, FailsCleanlyOnBadDirectory) {
-  const auto study = run_study_at_scale(0.01, 34);
-  EXPECT_THROW(export_figures(study, "/nonexistent-dir/nope"),
+  StreamedStudyOutput study = study_at(0.01, 34);
+  const cache::SweepRunner sweeps(std::move(study.replay_ops),
+                                  study.sessions.read_only_sessions());
+  EXPECT_THROW(export_figures(study, sweeps, "/nonexistent-dir/nope"),
                std::runtime_error);
 }
 

@@ -9,7 +9,7 @@
 #include <cstring>
 #include <string>
 
-#include "core/study.hpp"
+#include "support/materialized_study.hpp"
 
 namespace charisma {
 namespace {
@@ -17,8 +17,8 @@ namespace {
 constexpr double kScale = 0.05;  // small but exercises every subsystem
 
 TEST(Determinism, SameSeedSameConfigYieldsByteIdenticalTraces) {
-  const auto first = core::run_study_at_scale(kScale, 1234);
-  const auto second = core::run_study_at_scale(kScale, 1234);
+  const auto first = oracle::run_study_at_scale(kScale, 1234);
+  const auto second = oracle::run_study_at_scale(kScale, 1234);
 
   ASSERT_GT(first.raw.record_count(), 0u);
   EXPECT_EQ(first.raw.record_count(), second.raw.record_count());
@@ -38,13 +38,13 @@ TEST(Determinism, SameSeedSameConfigYieldsByteIdenticalTraces) {
 }
 
 TEST(Determinism, DifferentSeedsYieldDifferentTraces) {
-  const auto first = core::run_study_at_scale(kScale, 1);
-  const auto second = core::run_study_at_scale(kScale, 2);
+  const auto first = oracle::run_study_at_scale(kScale, 1);
+  const auto second = oracle::run_study_at_scale(kScale, 2);
   EXPECT_NE(first.raw.digest(), second.raw.digest());
 }
 
 TEST(Determinism, DigestSurvivesSerializationRoundTrip) {
-  const auto study = core::run_study_at_scale(kScale, 7);
+  const auto study = oracle::run_study_at_scale(kScale, 7);
   const std::string path =
       ::testing::TempDir() + "charisma_determinism.chtr";
   study.raw.write(path);

@@ -8,17 +8,18 @@
 #include "cache/simulators.hpp"
 #include "core/strided.hpp"
 #include "core/study.hpp"
+#include "support/materialized_study.hpp"
 
 namespace charisma {
 namespace {
 
 struct Fixture {
-  core::StudyOutput study;
+  oracle::StudyOutput study;
   analysis::SessionStore store;
   std::set<cache::SessionKey> read_only;
 
   Fixture()
-      : study(core::run_study_at_scale(0.15, 42)),
+      : study(oracle::run_study_at_scale(0.15, 42)),
         store(study.sorted),
         read_only(store.read_only_sessions()) {}
 };

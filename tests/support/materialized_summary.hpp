@@ -1,7 +1,8 @@
 // The materialized study summary: the test oracle the streaming pipeline is
-// held bit-identical to.  It summarizes a run_study output — the whole
-// record vector in memory, each consumer its own pass over it — through the
-// same core::summarize_measurements that production's
+// held bit-identical to.  It summarizes an oracle::run_study output
+// (support/materialized_study.hpp) — the whole record vector in memory,
+// each consumer its own pass over it — through the same
+// core::summarize_measurements that production's
 // summarize_streamed_study calls, so the two differ only in where the
 // session store, request sizes, header and sweep runner come from.
 #pragma once
@@ -13,13 +14,13 @@
 #include "analysis/session.hpp"
 #include "cache/simulators.hpp"
 #include "core/campaign.hpp"
-#include "core/study.hpp"
+#include "support/materialized_study.hpp"
 
 namespace charisma::oracle {
 
 [[nodiscard]] inline core::StudySummary summarize_study(
     const std::string& label, const core::StudyConfig& config,
-    const core::StudyOutput& output, bool with_figures = true) {
+    const StudyOutput& output, bool with_figures = true) {
   const analysis::SessionStore store(output.sorted);
   const analysis::RequestSizeResult requests =
       analysis::analyze_request_sizes(output.sorted);

@@ -13,6 +13,7 @@
 
 #include "core/stream_study.hpp"
 #include "core/study.hpp"
+#include "support/materialized_study.hpp"
 #include "workload/replay.hpp"
 #include "workload/source.hpp"
 
@@ -53,9 +54,9 @@ class RoundTripTest : public ::testing::Test {
 
 TEST_F(RoundTripTest, ExportedSyntheticReplaysToIdenticalDigest) {
   const core::StudyConfig config = smoke_config();
-  const core::StudyOutput direct = core::run_study(config);
+  const oracle::StudyOutput direct = oracle::run_study(config);
   export_synthetic(config);
-  const core::StudyOutput replayed = core::run_study(replay_config(config));
+  const oracle::StudyOutput replayed = oracle::run_study(replay_config(config));
 
   EXPECT_EQ(direct.raw.digest(), replayed.raw.digest());
   EXPECT_EQ(direct.total_ops, replayed.total_ops);
@@ -72,7 +73,7 @@ TEST_F(RoundTripTest, ExportedSyntheticReplaysToIdenticalDigest) {
 
 TEST_F(RoundTripTest, ReplayedLogStreamsToTheSameDigestToo) {
   const core::StudyConfig config = smoke_config();
-  const core::StudyOutput direct = core::run_study(config);
+  const oracle::StudyOutput direct = oracle::run_study(config);
   export_synthetic(config);
   const core::StreamedStudyOutput streamed =
       core::run_streamed_study(replay_config(config));
@@ -110,11 +111,11 @@ TEST_F(RoundTripTest, CheckpointSourceRoundTripsThroughTheLogToo) {
   config.workload.checkpoint.mtti_hours = 1.0;
   config.workload.scale = 1.0;
   config.workload.checkpoint.runtime_hours = 0.05;
-  const core::StudyOutput direct = core::run_study(config);
+  const oracle::StudyOutput direct = oracle::run_study(config);
 
   const auto source = workload::load_source(config.source, config.workload);
   workload::export_source_log(*source, path_);
-  const core::StudyOutput replayed = core::run_study(replay_config(config));
+  const oracle::StudyOutput replayed = oracle::run_study(replay_config(config));
   EXPECT_EQ(direct.raw.digest(), replayed.raw.digest());
   EXPECT_GT(direct.total_ops, 0u);
 }

@@ -2,8 +2,8 @@
 // synthetic reconstruction, its chwl export replayed, and the checkpoint
 // archetype — the streaming production pipeline (run_streamed_study +
 // summarize_streamed_study) must be bit-identical to the materialized oracle
-// (run_study + support/materialized_summary.hpp): same trace digest, same
-// headline statistics, same per-figure curves.  The export must also replay
+// (oracle::run_study + support/materialized_summary.hpp): same trace
+// digest, same headline statistics, same per-figure curves.  The export must also replay
 // to the synthetic study's digest.
 #include <gtest/gtest.h>
 
@@ -85,7 +85,7 @@ TEST(SourceDifferential, FullStatisticsMatchOracleForEverySource) {
     const std::string what = workload::to_string(config.source);
     SCOPED_TRACE(what);
     const core::StudySummary want =
-        oracle::summarize_study("study", config, core::run_study(config));
+        oracle::summarize_study("study", config, oracle::run_study(config));
     const core::StudySummary got = core::summarize_streamed_study(
         "study", config, core::run_streamed_study(config));
     expect_identical(want, got, what);
@@ -100,7 +100,7 @@ TEST(SourceDifferential, DigestsMatchOracleForEverySource) {
       ::testing::TempDir() + "charisma_source_differential_digest.chwl";
   std::vector<std::uint64_t> digests;
   for (const core::StudyConfig& config : every_source(0.01, 7, log)) {
-    const std::uint64_t want = core::run_study(config).raw.digest();
+    const std::uint64_t want = oracle::run_study(config).raw.digest();
     const std::uint64_t got = core::run_streamed_study(config).trace_digest;
     EXPECT_EQ(got, want) << workload::to_string(config.source);
     digests.push_back(got);
@@ -115,7 +115,7 @@ TEST(SourceDifferential, DigestsMatchOracleForEverySource) {
 TEST(SourceDifferential, PinnedDigestUnchangedThroughTheSeam) {
   // The determinism anchor every other suite pins (scale 0.2, seed 42) must
   // come out of the Source-fed pipeline unchanged.
-  const core::StudyOutput out = core::run_study(base_config(0.2, 42));
+  const oracle::StudyOutput out = oracle::run_study(base_config(0.2, 42));
   EXPECT_EQ(out.raw.digest(), kPinnedDigest);
 }
 

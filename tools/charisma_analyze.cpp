@@ -6,7 +6,8 @@
 //
 // The trace is *streamed*: the file's blocks are merged in corrected
 // chronological order and pushed once through bounded-state sinks (the
-// accumulators, the replay-op spill, the strided rewrite), so resident
+// accumulators, the replay-op spill, the strided rewrite) by the merge
+// routine a live study runs (core::stream_spilled_trace), so resident
 // memory is O(merge window) — a trace far larger than RAM still analyzes.
 // The file is opened tolerantly: a trace cut short by a crash (unpatched
 // block count, torn final block) analyzes up to the crash point with a
@@ -43,16 +44,15 @@
 #include <exception>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "analysis/analyzers.hpp"
 #include "analysis/fidelity.hpp"
-#include "cache/replay.hpp"
 #include "cache/simulators.hpp"
+#include "core/report.hpp"
 #include "core/stream_study.hpp"
 #include "core/strided.hpp"
-#include "trace/postprocess.hpp"
 #include "trace/spill.hpp"
 #include "util/flags.hpp"
 #include "util/units.hpp"
@@ -63,11 +63,15 @@ using namespace charisma;
 
 namespace {
 
-/// The --report sections; "all" prints every one.
-constexpr std::array<const char*, 13> kReports{
-    "all", "jobs", "nodes", "population", "files-per-job", "sizes",
-    "requests", "sequentiality", "intervals", "regularity", "modes",
-    "sharing", "paper"};
+/// The --report values: "all" (every one), the §4 sections, "paper".
+std::vector<std::string> report_names() {
+  std::vector<std::string> names{"all"};
+  for (const std::string_view section : core::report_sections()) {
+    names.emplace_back(section);
+  }
+  names.emplace_back("paper");
+  return names;
+}
 
 /// The --cache simulators.
 constexpr std::array<const char*, 3> kCacheSims{"io", "compute", "combined"};
@@ -81,7 +85,7 @@ constexpr std::array<std::pair<const char*, cache::Policy>, 3> kPolicies{{
 
 int usage() {
   std::string sections;
-  for (const char* r : kReports) {
+  for (const std::string& r : report_names()) {
     if (!sections.empty()) sections += '|';
     sections += r;
   }
@@ -107,7 +111,8 @@ int run(int argc, char** argv) {
   }
   util::Flags flags(argc, argv, known);
   const std::string report = flags.get("report", "all");
-  if (std::find(kReports.begin(), kReports.end(), report) == kReports.end()) {
+  const std::vector<std::string> reports = report_names();
+  if (std::find(reports.begin(), reports.end(), report) == reports.end()) {
     return usage();
   }
   // A bare --cache parses as "true", which names no simulator either.
@@ -169,13 +174,10 @@ int run(int argc, char** argv) {
       flags.get_int("spill-budget-mb", core::kDefaultSpillBudgetMb);
   const std::string spill_dir = flags.get("spill-dir", "");
 
-  trace::TraceHeader header;
-  std::uint64_t record_count = 0;
-  analysis::SessionStore store;
-  analysis::RequestSizeResult requests;
-  std::optional<cache::ReplayOpSpill> ops;
+  core::StreamOptions sopts;
+  sopts.collect_replay_ops = want_ops;
   std::optional<core::StridedRewriter> strided_sink;
-
+  core::StreamedStudyOutput out;
   try {
     if (study_mode) {
       core::StudyConfig config;
@@ -183,19 +185,12 @@ int run(int argc, char** argv) {
       config.source = source_spec;
       config.spill_budget_mb = spill_budget_mb;
       config.spill_dir = spill_dir;
-      core::StreamOptions sopts;
-      sopts.collect_replay_ops = want_ops;
       if (strided) {
         // The geometry the collector stamps into the trace header.
         strided_sink.emplace(config.machine.io_nodes, util::kBlockSize);
         sopts.sinks.push_back(&*strided_sink);
       }
-      core::StreamedStudyOutput out = core::run_streamed_study(config, sopts);
-      header = out.header;
-      record_count = out.records;
-      store = std::move(out.sessions);
-      requests = std::move(out.request_sizes);
-      if (want_ops) ops = std::move(out.replay_ops);
+      out = core::run_streamed_study(config, sopts);
     } else {
       bool truncated = false;
       const trace::SpilledTrace spilled =
@@ -207,28 +202,13 @@ int run(int argc, char** argv) {
                      path.c_str(),
                      static_cast<unsigned long long>(spilled.blocks.size()));
       }
-      header = spilled.header;
-      record_count = spilled.record_count();
-      analysis::SessionAccumulator sessions;
-      analysis::RequestSizeAccumulator request_acc;
-      trace::SpillBudget op_budget(spill_budget_mb * (std::int64_t{1} << 20));
-      std::optional<cache::ReplayOpSink> op_sink;
-      std::vector<trace::RecordSink*> sinks{&sessions, &request_acc};
-      if (want_ops) {
-        cache::ReplayOpSinkOptions oopts;
-        oopts.budget = &op_budget;
-        oopts.dir = spill_dir;
-        op_sink.emplace(std::move(oopts));
-        sinks.push_back(&*op_sink);
-      }
       if (strided) {
-        strided_sink.emplace(header.io_nodes, header.block_size);
-        sinks.push_back(&*strided_sink);
+        strided_sink.emplace(spilled.header.io_nodes,
+                             spilled.header.block_size);
+        sopts.sinks.push_back(&*strided_sink);
       }
-      (void)trace::stream_postprocess(spilled, sinks);
-      store = sessions.take(header);
-      requests = request_acc.finish();
-      if (op_sink.has_value()) ops = op_sink->finish();
+      trace::SpillBudget op_budget(spill_budget_mb * (std::int64_t{1} << 20));
+      core::stream_spilled_trace(spilled, sopts, op_budget, spill_dir, out);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cannot %s %s: %s\n",
@@ -238,61 +218,21 @@ int run(int argc, char** argv) {
                  e.what());
     return 1;
   }
+  const trace::TraceHeader& header = out.header;
+  const analysis::SessionStore& store = out.sessions;
   std::printf("trace '%s': %llu records from %d compute / %d I/O nodes\n",
               header.label.c_str(),
-              static_cast<unsigned long long>(record_count),
+              static_cast<unsigned long long>(out.streamed_records),
               header.compute_nodes, header.io_nodes);
-
-  if (want("jobs")) {
-    std::printf("--- Jobs (Figure 1) ---\n%s\n",
-                analysis::analyze_job_concurrency(store).render().c_str());
-  }
-  if (want("nodes")) {
-    std::printf("--- Nodes per job (Figure 2) ---\n%s\n",
-                analysis::analyze_node_counts(store).render().c_str());
-  }
-  if (want("population")) {
-    std::printf("--- File population (S4.2) ---\n%s\n",
-                analysis::analyze_file_population(store).render().c_str());
-  }
-  if (want("files-per-job")) {
-    std::printf("--- Files per job (Table 1) ---\n%s\n",
-                analysis::analyze_files_per_job(store).render().c_str());
-  }
-  if (want("sizes")) {
-    std::printf("--- File sizes (Figure 3) ---\n%s\n",
-                analysis::analyze_file_sizes(store).render().c_str());
-  }
-  if (want("requests")) {
-    std::printf("--- Request sizes (Figure 4) ---\n%s\n",
-                requests.render().c_str());
-  }
-  if (want("sequentiality")) {
-    std::printf("--- Sequentiality (Figures 5/6) ---\n%s\n",
-                analysis::analyze_sequentiality(store).render().c_str());
-  }
-  if (want("intervals")) {
-    std::printf("--- Interval regularity (Table 2) ---\n%s\n",
-                analysis::analyze_intervals(store).render().c_str());
-  }
-  if (want("regularity")) {
-    std::printf("--- Request-size regularity (Table 3) ---\n%s\n",
-                analysis::analyze_request_regularity(store).render().c_str());
-  }
-  if (want("modes")) {
-    std::printf("--- I/O modes (S4.6) ---\n%s\n",
-                analysis::analyze_mode_usage(store).render().c_str());
-  }
-  if (want("sharing")) {
-    std::printf(
-        "--- Sharing (Figure 7) ---\n%s\n",
-        analysis::analyze_sharing(store, header.block_size).render().c_str());
-  }
+  std::printf("%s", core::render_sections(store, out.request_sizes,
+                                          header.block_size, report)
+                        .c_str());
 
   // Both cache consumers share one runner over one op spill.
-  const std::set<cache::SessionKey> read_only = store.read_only_sessions();
   std::optional<cache::SweepRunner> runner;
-  if (want_ops) runner.emplace(std::move(*ops), read_only);
+  if (want_ops) {
+    runner.emplace(std::move(out.replay_ops), store.read_only_sessions());
+  }
 
   if (want("paper")) {
     // Figure 8's statistics come from the compute-cache replay (one buffer
@@ -301,7 +241,7 @@ int run(int argc, char** argv) {
     const analysis::CacheFigures cache_figs{
         compute[0].fraction_jobs_above_75, compute[0].fraction_jobs_zero};
     const auto checks = analysis::check_paper_fidelity(
-        store, requests, header.block_size, &cache_figs);
+        store, out.request_sizes, header.block_size, &cache_figs);
     std::printf("--- Paper-vs-measured deltas ---\n%s\n",
                 analysis::render_fidelity(checks).c_str());
   }

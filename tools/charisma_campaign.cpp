@@ -96,6 +96,9 @@ int run(int argc, char** argv) {
     scales.push_back(std::strtod(s.c_str(), nullptr));
   }
   if (seeds.empty() || scales.empty()) return usage();
+  // A negative count would wrap to a huge pool size.
+  const std::int64_t threads = flags.get_int("threads", 0);
+  if (threads < 0) return usage();
 
   core::StudyConfig base;
   if (flags.get_bool("smoke", false)) {
@@ -108,8 +111,7 @@ int run(int argc, char** argv) {
 
   const auto studies = core::scale_sweep(base, scales, seeds);
   core::CampaignOptions options;
-  options.threads =
-      static_cast<std::size_t>(flags.get_int("threads", 0));
+  options.threads = static_cast<std::size_t>(threads);
   options.collect_figures = flags.get_bool("figures", true);
   // Per-study memory-tier budget; note campaign RSS scales with
   // threads x budget when studies overflow it.
