@@ -13,7 +13,7 @@ void reproduce() {
   auto& ctx = Context::instance();
   core::CollectiveConfig cfg;
   cfg.io_nodes = ctx.study().header.io_nodes;
-  const auto stats = core::analyze_disk_directed(ctx.trace(), cfg);
+  const auto stats = core::analyze_disk_directed(ctx.sweeps().log(), cfg);
   std::printf("%s\n", stats.render().c_str());
 
   Comparison cmp("Ablation E: disk-directed I/O (S5)");
@@ -32,10 +32,12 @@ void BM_DiskDirectedAnalysis(benchmark::State& state) {
   auto& ctx = Context::instance();
   core::CollectiveConfig cfg;
   cfg.io_nodes = 10;
+  const cache::ReplayLog& log = ctx.sweeps().log();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::analyze_disk_directed(ctx.trace(), cfg));
+    benchmark::DoNotOptimize(core::analyze_disk_directed(log, cfg));
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(log.size()) *
+                          state.iterations());
 }
 BENCHMARK(BM_DiskDirectedAnalysis)->Unit(benchmark::kMillisecond);
 

@@ -60,10 +60,12 @@ void BM_PolicySim(benchmark::State& state) {
   cfg.total_buffers = 2000;
   cfg.io_nodes = 10;
   cfg.policy = static_cast<cache::Policy>(state.range(0));
+  const cache::SweepRunner& sweeps = ctx.sweeps();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cache::simulate_io_cache(ctx.trace(), ctx.read_only(), cfg));
+    benchmark::DoNotOptimize(sweeps.run_io({cfg}));
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(sweeps.replay_ops()) *
+                          state.iterations());
 }
 BENCHMARK(BM_PolicySim)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 

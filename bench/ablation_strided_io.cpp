@@ -29,18 +29,6 @@ void reproduce() {
       "\"regular request and interval sizes were common\" (Tables 2/3).\n\n");
 }
 
-void BM_StridedRewrite(benchmark::State& state) {
-  auto& ctx = Context::instance();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::rewrite_strided(
-        ctx.trace(), 10, util::kBlockSize));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(ctx.trace().records.size()) *
-      state.iterations());
-}
-BENCHMARK(BM_StridedRewrite)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace charisma::bench
 

@@ -6,24 +6,6 @@
 
 namespace charisma::bench {
 
-namespace {
-
-/// Collects the postprocessed records the merge pushes, in order: the
-/// benches' one whole-trace buffer, for the kernels that still take a
-/// record vector (see Context::trace()).
-class RecordCollector final : public trace::RecordSink {
- public:
-  explicit RecordCollector(trace::SortedTrace& out) : out_(out) {}
-  void on_record(const trace::Record& r) override {
-    out_.records.push_back(r);
-  }
-
- private:
-  trace::SortedTrace& out_;
-};
-
-}  // namespace
-
 Context& Context::instance() {
   static Context ctx;
   return ctx;
@@ -43,8 +25,6 @@ void Context::configure(double scale, std::uint64_t seed,
   built_ = false;
   sweeps_.reset();  // runs on pool_; must go first
   study_.reset();
-  trace_ = {};
-  read_only_.clear();
   strided_ = {};
   pool_.reset();
 }
@@ -58,18 +38,17 @@ void Context::ensure() {
   core::StudyConfig config;
   config.workload.scale = scale_;
   config.workload.seed = seed_;
-  RecordCollector records(trace_);
   // The geometry the collector stamps into the trace header.
   core::StridedRewriter strided(config.machine.io_nodes, util::kBlockSize);
   core::StreamOptions options;
-  options.sinks = {&records, &strided};
+  options.sinks = {&strided};
   study_ = core::run_streamed_study(config, options);
-  trace_.header = study_->header;
   strided_ = strided.finish();
-  read_only_ = study_->sessions.read_only_sessions();
-  sweeps_.emplace(std::move(study_->replay_ops), read_only_, pool());
-  std::printf("[charisma] %zu trace events, %zu file sessions\n\n",
-              trace_.records.size(), study_->sessions.sessions().size());
+  sweeps_.emplace(std::move(study_->replay_ops),
+                  study_->sessions.read_only_sessions(), pool());
+  std::printf("[charisma] %llu trace events, %zu file sessions\n\n",
+              static_cast<unsigned long long>(study_->streamed_records),
+              study_->sessions.sessions().size());
   built_ = true;
 }
 
@@ -81,16 +60,6 @@ const core::StreamedStudyOutput& Context::study() {
 const analysis::SessionStore& Context::store() {
   ensure();
   return study_->sessions;
-}
-
-const trace::SortedTrace& Context::trace() {
-  ensure();
-  return trace_;
-}
-
-const std::set<cache::SessionKey>& Context::read_only() {
-  ensure();
-  return read_only_;
 }
 
 const core::StridedStats& Context::strided() {
@@ -141,13 +110,20 @@ void Comparison::print() const {
 int bench_main(int argc, char** argv, const char* experiment,
                void (*reproduce)()) {
   util::Flags flags(argc, argv, {"scale", "seed", "threads"});
+  // google-benchmark takes its --benchmark_* flags out of the rest; anything
+  // left is misspelt or unknown and must not silently run the defaults.
+  int bench_argc = flags.remaining_argc();
+  benchmark::Initialize(&bench_argc, flags.remaining().data());
   // A negative count would wrap to a huge pool size.
   const std::int64_t threads = flags.get_int("threads", 0);
-  if (threads < 0) {
+  if (threads < 0 || bench_argc > 1) {
     std::fprintf(stderr,
                  "usage: %s [--scale=S] [--seed=N] [--threads=N] "
-                 "[google-benchmark flags]; --threads must be >= 0\n",
-                 std::filesystem::path(argv[0]).filename().c_str());
+                 "[--benchmark_*=...]; %s%s\n",
+                 std::filesystem::path(argv[0]).filename().c_str(),
+                 threads < 0 ? "--threads must be >= 0"
+                             : "unrecognized argument: ",
+                 threads < 0 ? "" : flags.remaining()[1]);
     return 2;
   }
   Context::instance().configure(
@@ -159,8 +135,6 @@ int bench_main(int argc, char** argv, const char* experiment,
   std::printf("==========================================================\n");
   reproduce();
 
-  int bench_argc = flags.remaining_argc();
-  benchmark::Initialize(&bench_argc, flags.remaining().data());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -2,15 +2,23 @@
 //
 // Every binary:
 //   1. runs the streamed CHARISMA study once at --scale (default 0.2,
-//      --seed 42),
+//      --seed 42), keeping only its finished analyses, the §5 strided
+//      rewrite and one SweepRunner over the spilled replay ops — never the
+//      trace itself,
 //   2. prints the paper-vs-measured reproduction rows for its experiment,
 //   3. runs google-benchmark timings of the underlying kernel.
+//
+// The cache kernels — the Figure 8/9 and §4.8 sweeps and the prefetch,
+// write-behind and disk-directed ablations — all read the runner's replay
+// log (sweeps().log()).
 //
 // Absolute counts scale with --scale; all percentages/shapes are
 // scale-invariant, which is what the comparisons check.  --threads sizes
 // the shared worker pool the cache-parameter sweeps fan out over (0 =
-// hardware concurrency; a negative count is a usage error, exit 2); every
-// reported number is identical for every thread count.
+// hardware concurrency); every reported number is identical for every
+// thread count.  A negative --threads or any argument neither ours nor
+// google-benchmark's is a usage error: one usage line, exit 2, before the
+// study runs.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -43,16 +51,12 @@ class Context {
   [[nodiscard]] const core::StreamedStudyOutput& study();
   /// The study's sessions (study().sessions).
   [[nodiscard]] const analysis::SessionStore& store();
-  /// The postprocessed records, collected from the study's merge by a sink,
-  /// for the kernels that still take a record vector (prefetch,
-  /// write-behind, disk-directed) and the google-benchmark kernel timings.
-  [[nodiscard]] const trace::SortedTrace& trace();
-  [[nodiscard]] const std::set<cache::SessionKey>& read_only();
   /// The §5 strided rewrite, fed by the study's merge.
   [[nodiscard]] const core::StridedStats& strided();
   /// Worker pool sized by --threads; the sweeps fan out over it.
   [[nodiscard]] util::ThreadPool& pool();
-  /// Sweep runner over the study's replay ops.
+  /// Sweep runner over the study's replay ops; its log() feeds the
+  /// ablation kernels.
   [[nodiscard]] cache::SweepRunner& sweeps();
   [[nodiscard]] double scale() const noexcept { return scale_; }
 
@@ -65,8 +69,6 @@ class Context {
   bool configured_ = false;
   bool built_ = false;
   std::optional<core::StreamedStudyOutput> study_;
-  trace::SortedTrace trace_;
-  std::set<cache::SessionKey> read_only_;
   core::StridedStats strided_;
   std::optional<util::ThreadPool> pool_;
   std::optional<cache::SweepRunner> sweeps_;
@@ -89,9 +91,10 @@ class Comparison {
   util::Table table_;
 };
 
-/// Standard main body: parses --scale/--seed/--threads, calls `reproduce`,
-/// then runs the registered benchmarks with the remaining argv.  A negative
-/// --threads prints a usage line and returns 2 before any study runs.
+/// Standard main body: parses --scale/--seed/--threads and the
+/// google-benchmark flags, calls `reproduce`, then runs the registered
+/// benchmarks.  A negative --threads or an unrecognized argument prints a
+/// usage line and returns 2 before any study runs.
 int bench_main(int argc, char** argv, const char* experiment,
                void (*reproduce)());
 

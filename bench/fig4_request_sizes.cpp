@@ -43,16 +43,6 @@ void reproduce() {
   cmp.print();
 }
 
-void BM_RequestSizeAnalysis(benchmark::State& state) {
-  const auto& trace = Context::instance().trace();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::analyze_request_sizes(trace));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(trace.records.size()) * state.iterations());
-}
-BENCHMARK(BM_RequestSizeAnalysis)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace charisma::bench
 

@@ -45,14 +45,12 @@ void BM_ComputeCacheSim(benchmark::State& state) {
   auto& ctx = Context::instance();
   cache::ComputeCacheConfig cfg;
   cfg.buffers_per_node = static_cast<std::size_t>(state.range(0));
+  const cache::SweepRunner& sweeps = ctx.sweeps();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cache::simulate_compute_cache(ctx.trace(), ctx.read_only(),
-                                      cfg));
+    benchmark::DoNotOptimize(sweeps.run_compute({cfg}));
   }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(ctx.trace().records.size()) *
-      state.iterations());
+  state.SetItemsProcessed(static_cast<std::int64_t>(sweeps.replay_ops()) *
+                          state.iterations());
 }
 BENCHMARK(BM_ComputeCacheSim)->Arg(1)->Arg(50)->Unit(benchmark::kMillisecond);
 

@@ -84,13 +84,12 @@ void BM_IoNodeCacheSim(benchmark::State& state) {
   cache::IoNodeSimConfig cfg;
   cfg.total_buffers = static_cast<std::size_t>(state.range(0));
   cfg.policy = state.range(1) == 0 ? cache::Policy::kLru : cache::Policy::kFifo;
+  const cache::SweepRunner& sweeps = ctx.sweeps();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cache::simulate_io_cache(ctx.trace(), ctx.read_only(), cfg));
+    benchmark::DoNotOptimize(sweeps.run_io({cfg}));
   }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(ctx.trace().records.size()) *
-      state.iterations());
+  state.SetItemsProcessed(static_cast<std::int64_t>(sweeps.replay_ops()) *
+                          state.iterations());
 }
 BENCHMARK(BM_IoNodeCacheSim)
     ->Args({4000, 0})

@@ -58,18 +58,6 @@ void BM_FilePopulationAnalysis(benchmark::State& state) {
 }
 BENCHMARK(BM_FilePopulationAnalysis)->Unit(benchmark::kMicrosecond);
 
-/// The SessionStore construction itself is the §4 workhorse; time it.
-void BM_SessionStoreBuild(benchmark::State& state) {
-  const auto& trace = Context::instance().trace();
-  for (auto _ : state) {
-    analysis::SessionStore store(trace, state.range(0) != 0);
-    benchmark::DoNotOptimize(store.sessions().size());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(trace.records.size()) * state.iterations());
-}
-BENCHMARK(BM_SessionStoreBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace charisma::bench
 

@@ -47,10 +47,12 @@ void BM_CombinedCacheSim(benchmark::State& state) {
   cfg.io_nodes = 10;
   cfg.total_buffers = 500;
   cfg.compute_buffers_per_node = 1;
+  const cache::SweepRunner& sweeps = ctx.sweeps();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cache::simulate_io_cache(ctx.trace(), ctx.read_only(), cfg));
+    benchmark::DoNotOptimize(sweeps.run_io({cfg}));
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(sweeps.replay_ops()) *
+                          state.iterations());
 }
 BENCHMARK(BM_CombinedCacheSim)->Unit(benchmark::kMillisecond);
 

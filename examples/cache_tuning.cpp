@@ -15,6 +15,11 @@ using namespace charisma;
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv, {"scale", "seed"});
+  // A misspelt flag must not silently run the defaults.
+  if (flags.remaining_argc() > 1) {
+    std::fprintf(stderr, "usage: cache_tuning [--scale=S] [--seed=N]\n");
+    return 2;
+  }
   core::StudyConfig config;
   config.workload.scale = flags.get_double("scale", 0.1);
   config.workload.seed =

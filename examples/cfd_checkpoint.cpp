@@ -28,6 +28,11 @@ struct App {
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv, {"nodes", "steps"});
+  // A misspelt flag must not silently run the defaults.
+  if (flags.remaining_argc() > 1) {
+    std::fprintf(stderr, "usage: cfd_checkpoint [--nodes=N] [--steps=N]\n");
+    return 2;
+  }
   const auto P = static_cast<std::int32_t>(flags.get_int("nodes", 32));
   const auto steps = static_cast<std::int32_t>(flags.get_int("steps", 4));
 

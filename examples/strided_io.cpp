@@ -14,6 +14,11 @@ using namespace charisma;
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv, {"nodes", "record"});
+  // A misspelt flag must not silently run the defaults.
+  if (flags.remaining_argc() > 1) {
+    std::fprintf(stderr, "usage: strided_io [--nodes=N] [--record=BYTES]\n");
+    return 2;
+  }
   const auto P = static_cast<std::int32_t>(flags.get_int("nodes", 16));
   const std::int64_t rec = flags.get_int("record", 512);
 

@@ -10,7 +10,12 @@
 // --out writes the raw binary trace to disk (readable back with
 // trace::TraceFile::read or the charisma_analyze tool); --export writes
 // gnuplot-ready series for every figure into DIR.
+//
+// Exit codes: 0 success, 2 usage error (an unknown argument; one usage
+// line, before the study runs), 1 runtime error such as an unwritable
+// --out (one "trace_and_characterize: error:" line on stderr).
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <string>
 
@@ -23,8 +28,17 @@
 
 using namespace charisma;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   util::Flags flags(argc, argv, {"scale", "seed", "out", "export"});
+  // A misspelt flag must not silently run the defaults.
+  if (flags.remaining_argc() > 1) {
+    std::fprintf(stderr,
+                 "usage: trace_and_characterize [--scale=S] [--seed=N] "
+                 "[--out=PATH] [--export=DIR]\n");
+    return 2;
+  }
   core::StudyConfig config;
   config.workload.scale = flags.get_double("scale", 0.2);
   config.workload.seed =
@@ -82,4 +96,15 @@ int main(int argc, char** argv) {
                 result.plot_script.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "trace_and_characterize: error: %s\n", e.what());
+    return 1;
+  }
 }

@@ -1,16 +1,13 @@
 #include "cache/prefetch.hpp"
 
-#include <list>
-#include <map>
+#include <set>
 #include <sstream>
 #include <unordered_map>
+#include <vector>
 
 #include "util/check.hpp"
 
 namespace charisma::cache {
-
-using trace::EventKind;
-using trace::Record;
 
 namespace {
 
@@ -64,7 +61,7 @@ class PrefetchingCache {
 
 }  // namespace
 
-PrefetchResult simulate_prefetch(const trace::SortedTrace& trace,
+PrefetchResult simulate_prefetch(const ReplayLog& log,
                                  const PrefetchConfig& config) {
   util::check(config.io_nodes >= 1, "need at least one I/O node");
   util::check(config.prefetch_depth >= 0, "negative prefetch depth");
@@ -84,50 +81,40 @@ PrefetchResult simulate_prefetch(const trace::SortedTrace& trace,
     return caches[static_cast<std::size_t>(block % config.io_nodes)];
   };
 
-  for (const Record& r : trace.records) {
-    if ((r.kind != EventKind::kRead && r.kind != EventKind::kWrite) ||
-        r.bytes <= 0) {
-      continue;
-    }
-    const std::int64_t first = r.offset / config.block_size;
-    const std::int64_t last =
-        (r.offset + r.bytes - 1) / config.block_size;
+  // Audited: ReplayLog traversals run the lambda inline on this thread.
+  // NOLINTNEXTLINE(charisma-shared-capture)
+  log.for_each([&](const detail::ReplayOp& op) {
+    const auto [first, last] = detail::span_of(op, config.block_size);
     ++out.requests;
     bool full_hit = true;
     for (std::int64_t b = first; b <= last; ++b) {
-      const auto o = cache_of(b).access({r.file, b}, r.node);
+      const auto o = cache_of(b).access({op.file, b}, op.node);
       if (!o.hit) full_hit = false;
       // Prefetch ahead on a miss, and on the FIRST USE of a prefetched
       // block (streaming prefetch — otherwise a depth-1 lookahead
       // alternates hit/miss on a sequential scan).
-      const auto it = last_block.find(r.file);
+      const auto it = last_block.find(op.file);
       const bool sequential =
           !config.sequential_detector ||
           (it != last_block.end() && it->second >= b - 2 && it->second <= b);
       const bool trigger = !o.hit || o.first_use_of_prefetch;
-      if (config.prefetch_depth > 0 && trigger && sequential &&
-          r.kind == EventKind::kRead) {
+      if (config.prefetch_depth > 0 && trigger && sequential && op.is_read) {
         for (int d = 1; d <= config.prefetch_depth; ++d) {
-          cache_of(b + d).prefetch({r.file, b + d}, r.node);
+          cache_of(b + d).prefetch({op.file, b + d}, op.node);
         }
       }
     }
-    last_block[r.file] = last;
+    last_block[op.file] = last;
     if (full_hit) ++out.request_hits;
-  }
+  });
 
   for (const auto& c : caches) {
     out.prefetches_issued += c.issued();
     out.prefetches_used += c.used();
   }
-  out.hit_rate = out.requests ? static_cast<double>(out.request_hits) /
-                                    static_cast<double>(out.requests)
-                              : 0.0;
+  out.hit_rate = hit_fraction(out.request_hits, out.requests);
   out.prefetch_accuracy =
-      out.prefetches_issued
-          ? static_cast<double>(out.prefetches_used) /
-                static_cast<double>(out.prefetches_issued)
-          : 0.0;
+      hit_fraction(out.prefetches_used, out.prefetches_issued);
   return out;
 }
 
@@ -138,46 +125,35 @@ std::string PrefetchResult::describe() const {
   return s.str();
 }
 
-WriteBehindResult simulate_write_behind(const trace::SortedTrace& trace,
+WriteBehindResult simulate_write_behind(const ReplayLog& log,
                                         const WriteBehindConfig& config) {
   util::check(config.io_nodes >= 1, "need at least one I/O node");
   WriteBehindResult out;
-  // Per I/O node: LRU set of dirty blocks; eviction = one disk write.
-  struct DirtyBuffer {
-    std::list<BlockKey> lru;
-    std::unordered_map<BlockKey, std::list<BlockKey>::iterator, BlockKeyHash>
-        index;
-  };
-  std::vector<DirtyBuffer> buffers(static_cast<std::size_t>(config.io_nodes));
+  // Per I/O node: an LRU set of dirty blocks.  Every block that misses is
+  // written to disk exactly once — when it is evicted or at the final
+  // flush — so the write-behind disk writes are the buffers' misses.
+  std::vector<BlockCache> buffers;
+  buffers.reserve(static_cast<std::size_t>(config.io_nodes));
+  for (int i = 0; i < config.io_nodes; ++i) {
+    buffers.emplace_back(config.buffers_per_node, Policy::kLru);
+  }
 
-  for (const Record& r : trace.records) {
-    if (r.kind != EventKind::kWrite || r.bytes <= 0) continue;
+  // Audited: ReplayLog traversals run the lambda inline on this thread.
+  // NOLINTNEXTLINE(charisma-shared-capture)
+  log.for_each([&](const detail::ReplayOp& op) {
+    if (op.is_read) return;
     ++out.write_requests;
-    const std::int64_t first = r.offset / config.block_size;
-    const std::int64_t last = (r.offset + r.bytes - 1) / config.block_size;
+    const auto [first, last] = detail::span_of(op, config.block_size);
     for (std::int64_t b = first; b <= last; ++b) {
-      ++out.blocks_touched;
-      ++out.disk_writes_through;  // baseline: every touch goes to disk
-      auto& buf = buffers[static_cast<std::size_t>(b % config.io_nodes)];
-      const BlockKey key{r.file, b};
-      const auto it = buf.index.find(key);
-      if (it != buf.index.end()) {
-        buf.lru.splice(buf.lru.begin(), buf.lru, it->second);
-        continue;  // absorbed into the dirty block
-      }
-      buf.lru.push_front(key);
-      buf.index.emplace(key, buf.lru.begin());
-      if (buf.index.size() > config.buffers_per_node) {
-        buf.index.erase(buf.lru.back());
-        buf.lru.pop_back();
-        ++out.disk_writes_behind;  // evicted dirty block hits the disk
-      }
+      (void)buffers[static_cast<std::size_t>(b % config.io_nodes)].access(
+          {op.file, b}, op.node);
     }
+  });
+  for (const BlockCache& buf : buffers) {
+    out.blocks_touched += buf.accesses();
+    out.disk_writes_behind += buf.accesses() - buf.hits();
   }
-  // Final flush of everything still dirty.
-  for (const auto& buf : buffers) {
-    out.disk_writes_behind += buf.index.size();
-  }
+  out.disk_writes_through = out.blocks_touched;  // every touch goes to disk
   return out;
 }
 

@@ -14,6 +14,10 @@
 //    instead of written through, coalescing the many small writes to one
 //    block into one disk write (the paper's §4.8 motivation: "combine
 //    several small requests into a few larger requests").
+//
+// Both replay the sweeps' op stream (cache/replay.hpp): the data requests
+// of the postprocessed trace, in merge order, which is all either kernel
+// reads.  They ignore the log's read-only and one-touch flags.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +52,8 @@ struct PrefetchResult {
   [[nodiscard]] std::string describe() const;
 };
 
-/// Replays the trace through prefetching I/O-node caches.
-[[nodiscard]] PrefetchResult simulate_prefetch(const trace::SortedTrace& trace,
+/// Replays the log's data requests through prefetching I/O-node caches.
+[[nodiscard]] PrefetchResult simulate_prefetch(const ReplayLog& log,
                                                const PrefetchConfig& config);
 
 struct WriteBehindConfig {
@@ -74,8 +78,8 @@ struct WriteBehindResult {
   [[nodiscard]] std::string describe() const;
 };
 
-/// Replays the trace's writes through per-I/O-node write-behind buffers.
+/// Replays the log's writes through per-I/O-node write-behind buffers.
 [[nodiscard]] WriteBehindResult simulate_write_behind(
-    const trace::SortedTrace& trace, const WriteBehindConfig& config);
+    const ReplayLog& log, const WriteBehindConfig& config);
 
 }  // namespace charisma::cache

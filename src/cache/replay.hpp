@@ -23,9 +23,9 @@
 // resolved during traversal with the same per-(job, file) memoized set
 // lookup prepare_replay uses — the streams are identical op for op.
 //
-// ReplayLog also wraps a plain in-memory op vector (the materialized
-// reference path), so every simulator below it has exactly one op-source
-// type and the two trace modes cannot drift.
+// ReplayLog also wraps a plain in-memory op vector (what the per-config
+// simulators build from a record vector), so every simulator below it has
+// exactly one op-source type.
 //
 // One-touch ops.  An op is one-touch when no other op in the log touches
 // any of its (file, 4 KB block) keys.  Every cache misses on each of its
@@ -260,11 +260,11 @@ class ReplayOpSink final : public trace::RecordSink {
   bool finished_ = false;
 };
 
-/// The sweeps' one op-source type: either a borrowed/owned in-memory op
-/// vector (flags already resolved — the materialized reference path) or an
+/// The sweeps' one op-source type: either an owned in-memory op vector
+/// (flags already resolved — the per-config simulators' path) or an
 /// owned op spill decoded chunk-by-chunk.  Spill-mode read-only flags are
 /// resolved once, at construction, into a per-op bit array (the same
-/// bake-once semantics prepare_replay gives the materialized path), so
+/// bake-once semantics prepare_replay gives the in-memory path), so
 /// traversals pay no session lookups.  Traversals are const and open
 /// private streams, so concurrent passes from pool workers are safe in
 /// both modes.

@@ -499,19 +499,6 @@ SweepPlan plan_io_sweep(const std::vector<IoNodeSimConfig>& configs) {
 
 // ---- SweepRunner -----------------------------------------------------------
 
-SweepRunner::SweepRunner(const trace::SortedTrace& trace,
-                         const std::set<SessionKey>& read_only)
-    : log_(detail::prepare_replay(trace, read_only)) {
-  log_.mark_one_touch();
-}
-
-SweepRunner::SweepRunner(const trace::SortedTrace& trace,
-                         const std::set<SessionKey>& read_only,
-                         util::ThreadPool& pool)
-    : log_(detail::prepare_replay(trace, read_only)), pool_(&pool) {
-  log_.mark_one_touch();
-}
-
 SweepRunner::SweepRunner(ReplayOpSpill ops,
                          const std::set<SessionKey>& read_only)
     : log_(std::move(ops), read_only) {}

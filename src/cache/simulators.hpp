@@ -34,9 +34,9 @@ using cfs::JobId;
 
 namespace detail {
 
-/// Materialized-path op builder: filters `trace` down to replayable data
-/// requests with resolved read-only flags (the streaming path spills the
-/// same stream through ReplayOpSink instead — see cache/replay.hpp).
+/// The per-config simulators' op builder: filters `trace` down to
+/// replayable data requests with resolved read-only flags (the study spills
+/// the same stream through ReplayOpSink instead — see cache/replay.hpp).
 [[nodiscard]] std::vector<ReplayOp> prepare_replay(
     const trace::SortedTrace& trace, const std::set<SessionKey>& read_only);
 
@@ -326,13 +326,12 @@ struct SweepPlan {
 [[nodiscard]] SweepPlan plan_io_sweep(
     const std::vector<IoNodeSimConfig>& configs);
 
-/// Runs cache-simulation sweeps over one immutable trace.  Results always
-/// come back in configuration order, making the output invariant under the
-/// pool's thread count — the sweep benches and the perf harness depend on
-/// that.
+/// Runs cache-simulation sweeps over one immutable replay log: the study's
+/// op spill (ReplayOpSink), whose read-only-session flags the log resolves
+/// once at construction.  Results always come back in configuration order,
+/// making the output invariant under the pool's thread count — the sweep
+/// benches and the perf harness depend on that.
 ///
-/// The trace is pre-filtered once (detail::prepare_replay) so replays touch
-/// only data requests and never repeat the read-only-session set lookups.
 /// Configurations are grouped by (policy, topology, front-cache setting) and
 /// each *group* is one planned pass — exact LRU stack simulation for every
 /// buffer count at once (Mattson), batched replay stepping every config per
@@ -355,20 +354,13 @@ struct SweepPlan {
 /// and the Figure 8 single-point replay stay whole.
 class SweepRunner {
  public:
-  /// Serial runner: passes execute inline on the calling thread.  Both
-  /// arguments are consumed at construction (the ops are copied out of
-  /// `trace` with their read-only flags resolved); neither is kept.
-  SweepRunner(const trace::SortedTrace& trace,
-              const std::set<SessionKey>& read_only);
+  /// Serial runner: passes execute inline on the calling thread.
+  /// `read_only` is consumed at construction: the log's one decode pass
+  /// resolves every op's read-only flag, so the set may be destroyed as
+  /// soon as the runner exists.
+  SweepRunner(ReplayOpSpill ops, const std::set<SessionKey>& read_only);
   /// Pooled runner: independent passes fan out over `pool`, which is
   /// borrowed and must outlive the runner.
-  SweepRunner(const trace::SortedTrace& trace,
-              const std::set<SessionKey>& read_only, util::ThreadPool& pool);
-  /// Streaming runners: replay a spilled op file per pass instead of an
-  /// in-memory op vector.  `read_only` is consumed at construction: the
-  /// log's one decode pass resolves every op's read-only flag, so the set
-  /// may be destroyed as soon as the runner exists.
-  SweepRunner(ReplayOpSpill ops, const std::set<SessionKey>& read_only);
   SweepRunner(ReplayOpSpill ops, const std::set<SessionKey>& read_only,
               util::ThreadPool& pool);
 
@@ -383,6 +375,10 @@ class SweepRunner {
     return log_.size();
   }
 
+  /// The replay log the passes read; the ablation kernels (prefetch,
+  /// write-behind, disk-directed) replay it too.
+  [[nodiscard]] const ReplayLog& log() const noexcept { return log_; }
+
   /// The replay log's one-touch marks: how many ops and what share of the
   /// block accesses the kernels replay as counted runs, and the host ms the
   /// marking took at construction.
@@ -391,7 +387,7 @@ class SweepRunner {
   }
 
   /// Disk bytes sweep passes have read back from the op spill's overflow
-  /// file so far (zero for materialized runners and all-resident spills).
+  /// file so far (zero for all-resident spills).
   [[nodiscard]] std::int64_t spill_bytes_read() const noexcept {
     return log_.spill_bytes_read();
   }

@@ -6,14 +6,16 @@
 // the whole access list to the I/O nodes and let each service its blocks in
 // DISK order instead of request-arrival order.  This module replays each
 // (job, file) session's block stream against the disk model both ways and
-// reports the positioning-cost reduction.
+// reports the positioning-cost reduction.  The streams come from the cache
+// sweeps' replay log (cache/replay.hpp): the trace's data requests in merge
+// order.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
+#include "cache/replay.hpp"
 #include "disk/disk.hpp"
-#include "trace/postprocess.hpp"
 
 namespace charisma::core {
 
@@ -45,6 +47,6 @@ struct CollectiveStats {
 /// Replays every (job, file) data stream through the disk model in arrival
 /// order and in disk-directed (sorted) order.
 [[nodiscard]] CollectiveStats analyze_disk_directed(
-    const trace::SortedTrace& trace, const CollectiveConfig& config);
+    const cache::ReplayLog& log, const CollectiveConfig& config);
 
 }  // namespace charisma::core

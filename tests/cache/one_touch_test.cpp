@@ -19,7 +19,7 @@
 #include "cache/replay.hpp"
 #include "cache/simulators.hpp"
 #include "cache/stack_sim.hpp"
-#include "trace/spill.hpp"
+#include "support/replay_spill.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
@@ -187,21 +187,12 @@ std::vector<trace::Record> records_of(const std::vector<ReplayOp>& ops) {
   return out;
 }
 
-ReplayOpSpill spill_of(const std::vector<ReplayOp>& ops,
-                       std::int64_t budget_bytes) {
-  trace::SpillBudget budget(budget_bytes);
-  ReplayOpSinkOptions options;
-  options.budget = &budget;
-  ReplayOpSink sink(options);
-  for (const trace::Record& r : records_of(ops)) sink.on_record(r);
-  return sink.finish();
-}
-
 TEST(OneTouch, DiskBackedLogMarksLikeTheInMemoryLog) {
   const std::vector<ReplayOp> ops =
       random_log(2 * ReplayLog::kChunkOps + 77, 9);
   const std::vector<bool> want = brute_force(ops);
-  ReplayOpSpill spill = spill_of(ops, 0);  // every chunk on disk
+  ReplayOpSpill spill =
+      oracle::replay_spill(records_of(ops), 0);  // every chunk on disk
   ASSERT_EQ(spill.mem_chunks().size(), 0u);
   ASSERT_GT(spill.disk_chunks(), 1u);
   const ReplayLog disk(std::move(spill), {});
@@ -209,7 +200,7 @@ TEST(OneTouch, DiskBackedLogMarksLikeTheInMemoryLog) {
   // Marks survive a second traversal (bits, not state of the first pass).
   EXPECT_EQ(marks(disk), want);
 
-  ReplayOpSpill resident = spill_of(ops, std::int64_t{64} << 20);
+  ReplayOpSpill resident = oracle::replay_spill(records_of(ops));
   ASSERT_TRUE(resident.decode_resident());
   const ReplayLog memory(std::move(resident), {});
   EXPECT_EQ(marks(memory), want);
@@ -486,11 +477,11 @@ TEST(OneTouch, SweepOfAMixedLogMatchesPerConfig) {
   EXPECT_GT(io_want[3].request_hits, 0u);
   EXPECT_GT(io_want[12].filtered_by_compute, 0u);
 
-  check(SweepRunner(trace, ro));
+  check(SweepRunner(oracle::replay_spill(trace.records), ro));
   for (const std::size_t threads : {3u, 4u}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
     util::ThreadPool pool(threads);
-    check(SweepRunner(trace, ro, pool));
+    check(SweepRunner(oracle::replay_spill(trace.records), ro, pool));
   }
 }
 

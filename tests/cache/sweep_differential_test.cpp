@@ -25,6 +25,7 @@
 #include "cache/simulators.hpp"
 #include "core/study.hpp"
 #include "support/materialized_study.hpp"
+#include "support/replay_spill.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
 #include "workload/source.hpp"
@@ -179,7 +180,8 @@ void expect_matches_reference(const SweepRunner& runner,
 
 TEST(SweepDifferential, GroupedMatchesPerConfigSerially) {
   const Fixture& f = fixture();
-  const SweepRunner serial(f.output.sorted, f.read_only);
+  const SweepRunner serial(oracle::replay_spill(f.output.sorted.records),
+                           f.read_only);
   expect_matches_reference(serial);
 }
 
@@ -188,7 +190,8 @@ TEST(SweepDifferential, GroupedMatchesPerConfigAcrossThreadCounts) {
   for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
     util::ThreadPool pool(threads);
-    const SweepRunner runner(f.output.sorted, f.read_only, pool);
+    const SweepRunner runner(oracle::replay_spill(f.output.sorted.records),
+                             f.read_only, pool);
     expect_matches_reference(runner);
   }
 }
@@ -230,7 +233,8 @@ TEST(SweepDifferential, CheckpointLogMatchesPerConfig) {
   // replay it on counted runs alone, against references that step every
   // block.
   const Fixture& f = checkpoint_fixture();
-  const SweepRunner serial(f.output.sorted, f.read_only);
+  const SweepRunner serial(oracle::replay_spill(f.output.sorted.records),
+                           f.read_only);
   ASSERT_GT(serial.replay_ops(), 0u);
   EXPECT_EQ(serial.one_touch().ops, serial.replay_ops());
   EXPECT_EQ(serial.one_touch().block_frac(), 1.0);
@@ -238,7 +242,8 @@ TEST(SweepDifferential, CheckpointLogMatchesPerConfig) {
   for (const std::size_t threads : {3u, 4u}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
     util::ThreadPool pool(threads);
-    const SweepRunner runner(f.output.sorted, f.read_only, pool);
+    const SweepRunner runner(oracle::replay_spill(f.output.sorted.records),
+                             f.read_only, pool);
     expect_matches_reference(runner, f);
   }
 }
@@ -290,7 +295,8 @@ void expect_marks_match_brute_force(const Fixture& f) {
       tally.blocks += blocks;
     }
   }
-  const SweepRunner runner(f.output.sorted, f.read_only);
+  const SweepRunner runner(oracle::replay_spill(f.output.sorted.records),
+                           f.read_only);
   EXPECT_EQ(runner.one_touch().ops, tally.ops);
   EXPECT_EQ(runner.one_touch().blocks, tally.blocks);
   EXPECT_EQ(runner.one_touch().total_blocks, tally.total_blocks);
@@ -301,7 +307,8 @@ TEST(OneTouch, MarksMatchBruteForceOnTheSyntheticLog) {
   const Fixture& f = fixture();
   expect_marks_match_brute_force(f);
   // The synthetic log mixes both kinds of op.
-  const SweepRunner runner(f.output.sorted, f.read_only);
+  const SweepRunner runner(oracle::replay_spill(f.output.sorted.records),
+                           f.read_only);
   EXPECT_GT(runner.one_touch().ops, 0u);
   EXPECT_LT(runner.one_touch().ops, runner.replay_ops());
 }

@@ -5,13 +5,14 @@
 #include <memory>
 #include <vector>
 
-#include "trace/spill.hpp"
+#include "support/replay_spill.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace charisma::cache {
 namespace {
 
+using oracle::replay_spill;
 using trace::EventKind;
 
 trace::Record data(EventKind kind, cfs::JobId job, cfs::NodeId node,
@@ -108,7 +109,7 @@ TEST(SweepRunner, ResultsAreInvariantUnderThreadCount) {
   const auto io = io_points();
 
   util::ThreadPool one(1);
-  const SweepRunner baseline(trace, ro, one);
+  const SweepRunner baseline(replay_spill(trace.records), ro, one);
   const auto compute_1 = baseline.run_compute(cc);
   const auto io_1 = baseline.run_io(io);
   ASSERT_EQ(compute_1.size(), cc.size());
@@ -116,7 +117,7 @@ TEST(SweepRunner, ResultsAreInvariantUnderThreadCount) {
 
   for (const std::size_t threads : {2u, 8u}) {
     util::ThreadPool pool(threads);
-    const SweepRunner runner(trace, ro, pool);
+    const SweepRunner runner(replay_spill(trace.records), ro, pool);
     const auto compute_n = runner.run_compute(cc);
     const auto io_n = runner.run_io(io);
     ASSERT_EQ(compute_n.size(), cc.size()) << threads << " threads";
@@ -136,7 +137,7 @@ TEST(SweepRunner, AgreesWithTheDirectSimulators) {
   const auto trace = mixed_trace();
   const auto ro = read_only_for(trace);
   util::ThreadPool pool(4);
-  const SweepRunner runner(trace, ro, pool);
+  const SweepRunner runner(replay_spill(trace.records), ro, pool);
 
   const auto cc = compute_points();
   const auto compute = runner.run_compute(cc);
@@ -155,7 +156,8 @@ TEST(SweepRunner, GroupedModeMatchesPerConfigMode) {
   // simulation per point.
   const auto trace = mixed_trace();
   const auto ro = read_only_for(trace);
-  const SweepRunner runner(trace, ro);  // serial: no pool needed
+  // Serial: no pool needed.
+  const SweepRunner runner(replay_spill(trace.records), ro);
 
   const auto cc = compute_points();
   const auto compute_grp = runner.run_compute(cc);
@@ -207,8 +209,8 @@ TEST(SweepRunner, SerialRunnerMatchesPooledRunner) {
   const auto trace = mixed_trace();
   const auto ro = read_only_for(trace);
   util::ThreadPool pool(4);
-  const SweepRunner pooled(trace, ro, pool);
-  const SweepRunner serial(trace, ro);
+  const SweepRunner pooled(replay_spill(trace.records), ro, pool);
+  const SweepRunner serial(replay_spill(trace.records), ro);
   EXPECT_EQ(serial.replay_ops(), pooled.replay_ops());
 
   const auto cc = compute_points();
@@ -233,7 +235,7 @@ TEST(SweepRunner, PassesExecutedLedgerMatchesThePlan) {
   const auto cc = compute_points();
   const auto io = io_points();
 
-  const SweepRunner grouped(trace, ro);
+  const SweepRunner grouped(replay_spill(trace.records), ro);
   EXPECT_EQ(grouped.passes_executed(), 0u);
   (void)grouped.run_compute(cc);
   EXPECT_EQ(grouped.passes_executed(), plan_compute_sweep(cc).passes());
@@ -245,7 +247,7 @@ TEST(SweepRunner, PassesExecutedLedgerMatchesThePlan) {
 
   // The ledger is schedule-independent: a pooled runner counts the same.
   util::ThreadPool pool(4);
-  const SweepRunner pooled(trace, ro, pool);
+  const SweepRunner pooled(replay_spill(trace.records), ro, pool);
   (void)pooled.run_compute(cc);
   (void)pooled.run_io(io);
   EXPECT_EQ(pooled.passes_executed(), grouped.passes_executed());
@@ -258,26 +260,16 @@ TEST(SweepRunner, PreparesOnlyDataRequests) {
   t.records.push_back(data(EventKind::kRead, 1, 0, 1, 0, 0));  // empty: dropped
   t.records.push_back(data(EventKind::kOpen, 1, 0, 1, 0, 0));
   util::ThreadPool pool(1);
-  const SweepRunner runner(t, {}, pool);
+  const SweepRunner runner(replay_spill(t.records), {}, pool);
   EXPECT_EQ(runner.replay_ops(), 2u);
 }
 
 TEST(SweepRunner, EmptyConfigListsYieldEmptyResults) {
   trace::SortedTrace t;
   util::ThreadPool pool(1);
-  const SweepRunner runner(t, {}, pool);
+  const SweepRunner runner(replay_spill(t.records), {}, pool);
   EXPECT_TRUE(runner.run_compute({}).empty());
   EXPECT_TRUE(runner.run_io({}).empty());
-}
-
-/// The replay-op spill a streamed study's merge would produce for `trace`.
-ReplayOpSpill spill_of(const trace::SortedTrace& trace,
-                       trace::SpillBudget& budget) {
-  ReplayOpSinkOptions options;
-  options.budget = &budget;
-  ReplayOpSink sink(options);
-  for (const trace::Record& r : trace.records) sink.on_record(r);
-  return sink.finish();
 }
 
 TEST(SweepLifetime, SpillRunnerNeedsNoReadOnlySetAfterConstruction) {
@@ -292,10 +284,11 @@ TEST(SweepLifetime, SpillRunnerNeedsNoReadOnlySetAfterConstruction) {
   for (const std::int64_t budget_bytes :
        {std::int64_t{0}, std::int64_t{1} << 30}) {
     SCOPED_TRACE(budget_bytes);
-    trace::SpillBudget budget(budget_bytes);
     auto doomed = std::make_unique<std::set<SessionKey>>(ro);
-    const SweepRunner serial(spill_of(trace, budget), *doomed);
-    const SweepRunner pooled(spill_of(trace, budget), *doomed, pool);
+    const SweepRunner serial(replay_spill(trace.records, budget_bytes),
+                             *doomed);
+    const SweepRunner pooled(replay_spill(trace.records, budget_bytes),
+                             *doomed, pool);
     doomed.reset();
     for (const SweepRunner* runner : {&serial, &pooled}) {
       const auto compute = runner->run_compute(cc);

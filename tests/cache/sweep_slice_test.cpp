@@ -11,7 +11,7 @@
 
 #include "cache/replay.hpp"
 #include "cache/simulators.hpp"
-#include "trace/spill.hpp"
+#include "support/replay_spill.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -99,17 +99,6 @@ trace::SortedTrace sorted_trace() {
   return t;
 }
 
-/// The same ops spilled with a zero memory budget: every chunk goes to the
-/// disk tier and each work unit re-reads it.
-ReplayOpSpill disk_spill() {
-  trace::SpillBudget budget(0);
-  ReplayOpSinkOptions options;
-  options.budget = &budget;
-  ReplayOpSink sink(options);
-  for (const trace::Record& r : records()) sink.on_record(r);
-  return sink.finish();
-}
-
 void expect_same(const ComputeCacheResult& want, const ComputeCacheResult& got,
                  std::size_t config) {
   SCOPED_TRACE("compute config " + std::to_string(config));
@@ -182,12 +171,11 @@ TEST(SweepSlices, PlanHasTheShapesUnderTest) {
 }
 
 TEST(SweepSlices, InMemoryLogMatchesPerConfigAtThreeAndFourThreads) {
-  const trace::SortedTrace trace = sorted_trace();
   const std::set<SessionKey> ro = read_only();
   for (const std::size_t threads : {3u, 4u}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
     util::ThreadPool pool(threads);
-    const SweepRunner runner(trace, ro, pool);
+    const SweepRunner runner(oracle::replay_spill(records()), ro, pool);
     expect_matches_reference(runner);
     EXPECT_EQ(runner.passes_executed(),
               plan_compute_sweep(compute_configs()).passes() +
@@ -200,7 +188,9 @@ TEST(SweepSlices, DiskBackedLogMatchesPerConfigAtThreeAndFourThreads) {
   for (const std::size_t threads : {3u, 4u}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
     util::ThreadPool pool(threads);
-    ReplayOpSpill spill = disk_spill();
+    // A zero memory budget puts every chunk on disk, and each work unit
+    // re-reads it.
+    ReplayOpSpill spill = oracle::replay_spill(records(), 0);
     ASSERT_EQ(spill.mem_chunks().size(), 0u);
     ASSERT_GT(spill.disk_chunks(), 0u);
     const SweepRunner runner(std::move(spill), ro, pool);

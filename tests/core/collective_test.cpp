@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "support/replay_spill.hpp"
+
 namespace charisma::core {
 namespace {
 
+using oracle::replay_log;
 using trace::EventKind;
 
 trace::Record block_read(cfs::NodeId node, cfs::FileId file,
@@ -28,12 +33,12 @@ CollectiveConfig one_disk() {
 
 TEST(Collective, SortedAccessIsNeverSlower) {
   // Nodes interleave out of order: 0, 8, 1, 9, 2, 10 ...
-  trace::SortedTrace t;
+  std::vector<trace::Record> t;
   for (int i = 0; i < 8; ++i) {
-    t.records.push_back(block_read(0, 1, i));
-    t.records.push_back(block_read(1, 1, i + 8));
+    t.push_back(block_read(0, 1, i));
+    t.push_back(block_read(1, 1, i + 8));
   }
-  const auto s = analyze_disk_directed(t, one_disk());
+  const auto s = analyze_disk_directed(replay_log(t), one_disk());
   EXPECT_EQ(s.sessions, 1u);
   EXPECT_LE(s.disk_time_directed, s.disk_time_arrival);
   EXPECT_LT(s.discontiguities_directed, s.discontiguities_arrival);
@@ -41,18 +46,18 @@ TEST(Collective, SortedAccessIsNeverSlower) {
 }
 
 TEST(Collective, AlreadySequentialGainsNothing) {
-  trace::SortedTrace t;
-  for (int i = 0; i < 16; ++i) t.records.push_back(block_read(0, 1, i));
-  const auto s = analyze_disk_directed(t, one_disk());
+  std::vector<trace::Record> t;
+  for (int i = 0; i < 16; ++i) t.push_back(block_read(0, 1, i));
+  const auto s = analyze_disk_directed(replay_log(t), one_disk());
   EXPECT_EQ(s.disk_time_directed, s.disk_time_arrival);
   EXPECT_DOUBLE_EQ(s.time_reduction(), 0.0);
 }
 
 TEST(Collective, SmallSessionsAreSkipped) {
-  trace::SortedTrace t;
-  t.records.push_back(block_read(0, 1, 5));
-  t.records.push_back(block_read(0, 1, 1));
-  const auto s = analyze_disk_directed(t, one_disk());
+  std::vector<trace::Record> t;
+  t.push_back(block_read(0, 1, 5));
+  t.push_back(block_read(0, 1, 1));
+  const auto s = analyze_disk_directed(replay_log(t), one_disk());
   EXPECT_EQ(s.sessions, 0u);
   EXPECT_EQ(s.block_accesses, 0u);
 }
@@ -60,19 +65,19 @@ TEST(Collective, SmallSessionsAreSkipped) {
 TEST(Collective, StreamsAreSplitPerIoNode) {
   // With 2 I/O nodes, even/odd blocks go to different disks; each disk's
   // stream of an in-order scan stays in order.
-  trace::SortedTrace t;
-  for (int i = 0; i < 16; ++i) t.records.push_back(block_read(0, 1, i));
+  std::vector<trace::Record> t;
+  for (int i = 0; i < 16; ++i) t.push_back(block_read(0, 1, i));
   CollectiveConfig cfg;
   cfg.io_nodes = 2;
   cfg.min_blocks = 4;
-  const auto s = analyze_disk_directed(t, cfg);
+  const auto s = analyze_disk_directed(replay_log(t), cfg);
   EXPECT_DOUBLE_EQ(s.time_reduction(), 0.0);
 }
 
 TEST(Collective, RenderMentionsSavings) {
-  trace::SortedTrace t;
-  for (int i = 15; i >= 0; --i) t.records.push_back(block_read(0, 1, i));
-  const auto s = analyze_disk_directed(t, one_disk());
+  std::vector<trace::Record> t;
+  for (int i = 15; i >= 0; --i) t.push_back(block_read(0, 1, i));
+  const auto s = analyze_disk_directed(replay_log(t), one_disk());
   EXPECT_NE(s.render().find("disk-directed"), std::string::npos);
   EXPECT_GT(s.time_reduction(), 0.0);  // reverse order sorted helps
 }

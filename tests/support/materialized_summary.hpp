@@ -15,6 +15,7 @@
 #include "cache/simulators.hpp"
 #include "core/campaign.hpp"
 #include "support/materialized_study.hpp"
+#include "support/replay_spill.hpp"
 
 namespace charisma::oracle {
 
@@ -25,7 +26,8 @@ namespace charisma::oracle {
   const analysis::RequestSizeResult requests =
       analysis::analyze_request_sizes(output.sorted);
   const std::set<cache::SessionKey> read_only = store.read_only_sessions();
-  const cache::SweepRunner runner(output.sorted, read_only);
+  const cache::SweepRunner runner(replay_spill(output.sorted.records),
+                                  read_only);
   core::StudySummary s = core::summarize_measurements(
       store, requests, output.raw.header, with_figures ? &runner : nullptr);
   s.label = label;
